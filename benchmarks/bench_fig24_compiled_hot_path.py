@@ -1,7 +1,7 @@
 """Figure 24 (extension): compiled kernels + range-indexed theta probes.
 
-Not a figure of the source paper — this sweep evaluates the PR-5 hot
-path: :mod:`repro.patterns.compile` predicate kernels (no per-candidate
+Not a figure of the source paper — this sweep evaluates the compiled
+hot path: :mod:`repro.patterns.compile` predicate kernels (no per-candidate
 bindings merge, no AST walk) and the sorted-run theta range probes of
 :mod:`repro.engines.stores`, against the interpreted/linear seed
 evaluation, on both single-query runtimes (tree and lazy NFA).
@@ -18,16 +18,14 @@ Three workload families over synthetic streams:
 * **mixed** — ``a.k = b.k AND a.v < b.v AND b.k = c.k``: hash bucket
   first, value bisect within (the composed access path).
 
-Six modes per configuration: ``interpreted+linear`` (the baseline),
-``interpreted+indexed``, ``compiled+linear``, ``compiled+indexed``
-(PR-5 closure kernels), ``codegen`` (exec-generated kernel sources),
-and ``codegen+batch`` (generated kernels + chunked ``run_batched``
-with one grouped store-probe pass per same-variable run — the default
-engine configuration driven batch-wise).  Match sequences of all four modes
-are asserted identical for every run — kernels and range runs are
-access/evaluation paths, never a semantics change.  At default scale
-the theta-heavy rows must reach >= 2x combined speedup (asserted; smoke
-runs only assert equivalence, timings at tiny scale are noise).
+Four modes per configuration: ``interpreted+linear`` (the baseline),
+``interpreted+indexed``, ``compiled+linear`` and ``compiled+indexed``
+(the default engine: exec-generated kernels over indexed stores).
+Match sequences of all four modes are asserted identical for every
+run — kernels and range runs are access/evaluation paths, never a
+semantics change.  At default scale every row must reach >= 2x
+combined speedup (asserted; smoke runs only assert equivalence,
+timings at tiny scale are noise).
 
 Set ``REPRO_BENCH_SMOKE=1`` for a seconds-scale smoke run (CI).
 Writes ``fig24_compiled_hot_path.txt`` and the machine-readable
@@ -62,20 +60,13 @@ MIXED = (
 )
 TEMPLATES = {"theta": THETA, "equality": EQUALITY, "mixed": MIXED}
 
-#: (indexed, compiled, codegen, batched) per reported mode, baseline
-#: first.  ``compiled+indexed`` pins ``codegen=False`` — the PR-5
-#: closure kernels — so the ``codegen`` and ``codegen+batch`` rows
-#: report the exec-generated source and batch-probe wins against it.
+#: (indexed, compiled) per reported mode, baseline first.
 MODES = (
-    ("interp+linear", False, False, False, False),
-    ("interp+indexed", True, False, False, False),
-    ("compiled+linear", False, True, False, False),
-    ("compiled+indexed", True, True, False, False),
-    ("codegen", True, True, True, False),
-    ("codegen+batch", True, True, True, True),
+    ("interp+linear", False, False),
+    ("interp+indexed", True, False),
+    ("compiled+linear", False, True),
+    ("compiled+indexed", True, True),
 )
-
-BATCH_SIZE = 512
 
 #: (family, events, key cardinality, window).
 if SMOKE:
@@ -112,20 +103,14 @@ def _stream(events_count: int, keys: int, seed: int = 13) -> Stream:
     return Stream(events)
 
 
-def _engine(
-    text: str, runtime: str, indexed: bool, compiled: bool,
-    codegen: bool = True,
-):
+def _engine(text: str, runtime: str, indexed: bool, compiled: bool):
     d = decompose(parse_pattern(text))
     order = OrderPlan(d.positive_variables)
     if runtime == "tree":
         return TreeEngine(
-            d, TreePlan.left_deep(order), indexed=indexed,
-            compiled=compiled, codegen=codegen,
+            d, TreePlan.left_deep(order), indexed=indexed, compiled=compiled
         )
-    return NFAEngine(
-        d, order, indexed=indexed, compiled=compiled, codegen=codegen
-    )
+    return NFAEngine(d, order, indexed=indexed, compiled=compiled)
 
 
 def _run_modes(text: str, stream: Stream, runtime: str):
@@ -134,20 +119,17 @@ def _run_modes(text: str, stream: Stream, runtime: str):
     best = {name: float("inf") for name, *_ in MODES}
     keys, metrics = {}, {}
     for _ in range(TIMING_ROUNDS):
-        for name, indexed, compiled, codegen, batched in MODES:
-            engine = _engine(text, runtime, indexed, compiled, codegen)
+        for name, indexed, compiled in MODES:
+            engine = _engine(text, runtime, indexed, compiled)
             started = time.perf_counter()
-            if batched:
-                matches = engine.run_batched(stream, batch_size=BATCH_SIZE)
-            else:
-                matches = engine.run(stream)
+            matches = engine.run(stream)
             best[name] = min(best[name], time.perf_counter() - started)
             keys[name] = [m.key() for m in matches]
             metrics[name] = engine.metrics
     return best, keys, metrics
 
 
-# Six timed modes x three rounds outgrow the repo-wide 120s cap at
+# Four timed modes x three rounds outgrow the repo-wide 120s cap at
 # full scale; smoke runs finish in seconds either way.
 @pytest.mark.timeout(600)
 def test_fig24_compiled_hot_path(benchmark, env: BenchEnv):
@@ -181,8 +163,6 @@ def test_fig24_compiled_hot_path(benchmark, env: BenchEnv):
                     f"{speedup('interp+indexed'):.1f}x",
                     f"{speedup('compiled+linear'):.1f}x",
                     f"{speedup('compiled+indexed'):.1f}x",
-                    f"{speedup('codegen'):.1f}x",
-                    f"{speedup('codegen+batch'):.1f}x",
                     full.range_probes,
                     full.predicate_kernel_calls,
                 ]
@@ -202,10 +182,6 @@ def test_fig24_compiled_hot_path(benchmark, env: BenchEnv):
                     "speedup_indexed": speedup("interp+indexed"),
                     "speedup_compiled": speedup("compiled+linear"),
                     "speedup_full": speedup("compiled+indexed"),
-                    "codegen_wall_s": best["codegen"],
-                    "codegen_batch_wall_s": best["codegen+batch"],
-                    "speedup_codegen": speedup("codegen"),
-                    "speedup_codegen_batch": speedup("codegen+batch"),
                     "range_probes": full.range_probes,
                     "range_hits": full.range_hits,
                     "predicate_kernel_calls": full.predicate_kernel_calls,
@@ -217,23 +193,11 @@ def test_fig24_compiled_hot_path(benchmark, env: BenchEnv):
 
     if not SMOKE:
         for record in records:
-            # Acceptance: >= 2x combined on every theta-heavy row, and
-            # no mode regresses the baseline by more than 5% anywhere.
-            if record["family"] == "theta":
-                assert record["speedup_full"] >= 2.0, record
-            assert record["speedup_full"] >= 0.95, record
-            assert record["speedup_compiled"] >= 0.95, record
-            # Codegen and codegen+batch must keep the integer-multiple
+            # Acceptance: the default engine keeps an integer-multiple
             # speedup over the interpreted baseline on every row, and
-            # stay within noise of the PR-5 closure-kernel row (25%
-            # relative floor — several configs have ~100ms walls, so a
-            # ratio-of-ratios swings well past 15% run to run).
-            for key in ("speedup_codegen", "speedup_codegen_batch"):
-                assert record[key] >= 2.0, (key, record)
-                assert record[key] >= 0.75 * record["speedup_full"], (
-                    key,
-                    record,
-                )
+            # compiled kernels alone never regress it by more than 5%.
+            assert record["speedup_full"] >= 2.0, record
+            assert record["speedup_compiled"] >= 0.95, record
 
     family, events_count, keys_card, window = CONFIGS[0]
     stream = _stream(events_count, keys_card)
@@ -260,8 +224,6 @@ def _format(rows) -> str:
             "idx only",
             "kern only",
             "combined",
-            "codegen",
-            "cg+batch",
             "range probes",
             "kernel calls",
         ),

@@ -21,9 +21,12 @@ tolerance.
 
 Runs are paired by their configuration identity (mode/family/runtime/
 workers/...), so reordering records or adding new configurations never
-trips the gate — new runs are reported informationally.  A baseline
-and a result taken at different scales (``smoke`` flag mismatch) are
-incomparable and skipped with a warning.
+trips the gate — new runs are reported informationally.  The reverse
+does trip it: a baselined run, or a baselined metric of a run, that is
+missing from the current result fails, so deleting a mode cannot drop
+its gate silently — refresh the baselines with ``--update`` in the same
+change.  A baseline and a result taken at different scales (``smoke``
+flag mismatch) are incomparable and skipped with a warning.
 
 Usage::
 
@@ -126,8 +129,10 @@ def compare(
     """Diff one baseline payload against its current counterpart.
 
     Returns ``(regressions, notes)``: each regression dict carries the
-    run key, metric name, both values and the observed drop; notes are
-    informational lines (new/missing runs, metric-set drift).
+    run key, metric name, both values and the observed drop — or, for a
+    baselined run or metric absent from ``current``, ``missing`` set to
+    ``"run"`` / ``"metric"``; notes are informational lines (new runs,
+    skipped scales).
     """
     regressions: List[dict] = []
     notes: List[str] = []
@@ -146,14 +151,14 @@ def compare(
     for key, base_record in base_runs.items():
         curr_record = curr_runs.get(key)
         if curr_record is None:
-            notes.append(f"baselined run missing from results: {key}")
+            regressions.append(_missing(key, None, "run"))
             continue
         base_metrics = throughput_metrics(base_record)
         curr_metrics = throughput_metrics(curr_record)
         for name, base_value in sorted(base_metrics.items()):
             curr_value = curr_metrics.get(name)
             if curr_value is None:
-                notes.append(f"metric {name} gone from {key}")
+                regressions.append(_missing(key, name, "metric"))
                 continue
             if base_value <= 0:
                 continue
@@ -184,6 +189,18 @@ def compare(
         if key not in base_runs:
             notes.append(f"new run (no baseline yet): {key}")
     return regressions, notes
+
+
+def _missing(key: Tuple, metric: Optional[str], what: str) -> dict:
+    return {
+        "key": key,
+        "metric": metric,
+        "baseline": None,
+        "current": None,
+        "drop": None,
+        "tolerance": None,
+        "missing": what,
+    }
 
 
 def _key_text(key: Tuple) -> str:
@@ -217,6 +234,18 @@ def check(
         if regressions:
             failed = True
             for item in regressions:
+                if item.get("missing"):
+                    what = (
+                        "run" if item["missing"] == "run"
+                        else f"metric {item['metric']}"
+                    )
+                    print(
+                        f"{name}: MISSING baselined {what} "
+                        f"[{_key_text(item['key'])}] — absent from the "
+                        "current result",
+                        file=out,
+                    )
+                    continue
                 print(
                     f"{name}: REGRESSION {item['metric']} "
                     f"{item['baseline']:,.1f} -> {item['current']:,.1f} "
@@ -229,9 +258,9 @@ def check(
             print(f"{name}: OK (within {tolerance:.0%} of baseline)", file=out)
     if failed:
         print(
-            "\nthroughput regression beyond tolerance — if this follows a "
-            "deliberate trade or a hardware change, refresh baselines with "
-            "--update",
+            "\nthroughput regression beyond tolerance, or a baselined run/"
+            "metric missing — if this follows a deliberate trade, a removed "
+            "mode or a hardware change, refresh baselines with --update",
             file=out,
         )
     return 1 if failed else 0

@@ -23,13 +23,16 @@ order-based (lazy NFA) and tree-based (ZStream-style) runtimes:
 
 Both engines form every event combination exactly once through the
 *trigger* discipline documented in :mod:`repro.engines.matches`.
+Engines are driven one event at a time: :meth:`BaseEngine.process`
+(or :meth:`BaseEngine.run` over a whole stream) is the only feeding
+path, in every runtime that hosts them.
 """
 
 from __future__ import annotations
 
 import time
 from collections import deque
-from typing import Deque, Iterable, Iterator, Optional
+from typing import Deque, Iterator, Optional
 
 from ..errors import EngineError
 from ..events import Event, Stream
@@ -84,7 +87,6 @@ class BaseEngine:
         pattern_name: Optional[str] = None,
         indexed: bool = True,
         compiled: bool = True,
-        codegen: bool = True,
     ) -> None:
         if selection not in _SELECTIONS:
             raise EngineError(
@@ -105,10 +107,6 @@ class BaseEngine:
         # compiled kernels (repro.patterns.compile); False keeps the
         # interpreted per-candidate evaluation byte-identical.
         self.compiled = compiled
-        # When True (default) and compiled, specializable kernels are
-        # exec-generated straight-line source instead of closure trees;
-        # False keeps the closure kernels byte-identically.
-        self.codegen = codegen
         self.pattern_name = pattern_name or (
             decomposed.source.name if decomposed.source else None
         )
@@ -184,51 +182,6 @@ class BaseEngine:
         matches: list[Match] = []
         for event in stream:
             matches.extend(self.process(event))
-        matches.extend(self.finalize())
-        return matches
-
-    def process_batch(self, events: Iterable[Event]) -> list[Match]:
-        """Feed a chunk of events; return the matches they completed.
-
-        The match stream — contents *and* emission order — is identical
-        to calling :meth:`process` per event: engines that override the
-        per-batch hook only amortize access-path work (admission
-        kernels, store probes) across the chunk, and every event still
-        advances time, releases pending matches, and materializes its
-        survivors in arrival order.  Batch bookkeeping
-        (``batches_processed``, the ``batch_sizes`` histogram) is the
-        only metrics addition.
-        """
-        if not isinstance(events, list):
-            events = list(events)
-        if not events:
-            return []
-        self.metrics.batches_processed += 1
-        self.metrics.batch_sizes.record(len(events))
-        return self._process_batch_events(events)
-
-    def _process_batch_events(self, events: list[Event]) -> list[Match]:
-        """Per-batch hook: the generic path is a per-event loop."""
-        matches: list[Match] = []
-        for event in events:
-            matches.extend(self.process(event))
-        return matches
-
-    def run_batched(
-        self, stream: Stream, batch_size: int = 256
-    ) -> list[Match]:
-        """Process an entire stream in chunks and flush pending matches."""
-        if batch_size < 1:
-            raise EngineError(f"batch_size must be >= 1, got {batch_size}")
-        matches: list[Match] = []
-        chunk: list[Event] = []
-        for event in stream:
-            chunk.append(event)
-            if len(chunk) >= batch_size:
-                matches.extend(self.process_batch(chunk))
-                chunk = []
-        if chunk:
-            matches.extend(self.process_batch(chunk))
         matches.extend(self.finalize())
         return matches
 
@@ -433,7 +386,6 @@ class BaseEngine:
                     tracker=self._sel_tracker,
                     sel_key_by_pred=self._sel_key_by_pred,
                     count="none",
-                    codegen=self.codegen,
                 )
             )
 

@@ -55,7 +55,6 @@ def build_engine(
     indexed: bool = True,
     seed: Optional[EngineSnapshot] = None,
     compiled: bool = True,
-    codegen: bool = True,
     tracer=None,
 ) -> BaseEngine:
     """Instantiate the runtime engine for one planned simple pattern.
@@ -79,7 +78,6 @@ def build_engine(
         pattern_name=planned.pattern.name,
         indexed=indexed,
         compiled=compiled,
-        codegen=codegen,
     )
     if isinstance(planned.plan, OrderPlan):
         engine = NFAEngine(planned.decomposed, planned.plan, **common)
@@ -104,7 +102,6 @@ def build_engine_from_parts(
     max_kleene_size: Optional[int] = None,
     indexed: bool = True,
     compiled: bool = True,
-    codegen: bool = True,
 ) -> BaseEngine:
     """Rebuild a runtime engine from shipped parts (worker side).
 
@@ -121,7 +118,6 @@ def build_engine_from_parts(
         pattern_name=pattern_name,
         indexed=indexed,
         compiled=compiled,
-        codegen=codegen,
     )
     if isinstance(plan, OrderPlan):
         return NFAEngine(decomposed, plan, **common)
@@ -137,7 +133,6 @@ def build_engines(
     parallel: Optional[Union["ParallelConfig", int]] = None,
     seed: Optional[object] = None,
     compiled: bool = True,
-    codegen: bool = True,
     tracer=None,
 ) -> Union[Engine, "MultiQueryEngine", "ParallelExecutor"]:
     """Engine for planner output: single engine, disjunction wrapper, or
@@ -188,7 +183,6 @@ def build_engines(
             max_kleene_size=max_kleene_size,
             indexed=indexed,
             compiled=compiled,
-            codegen=codegen,
         )
     if isinstance(planned, _SharedPlan):
         if seed is not None:
@@ -200,7 +194,6 @@ def build_engines(
             max_kleene_size=max_kleene_size,
             indexed=indexed,
             compiled=compiled,
-            codegen=codegen,
         )
         if tracer is not None:
             engine.set_tracer(tracer)
@@ -216,13 +209,11 @@ def build_engines(
             indexed,
             seed=seed,
             compiled=compiled,
-            codegen=codegen,
             tracer=tracer,
         )
     engines = [
         build_engine(
-            item, max_kleene_size, indexed, compiled=compiled,
-            codegen=codegen,
+            item, max_kleene_size, indexed, compiled=compiled
         )
         for item in planned
     ]
@@ -253,37 +244,10 @@ class DisjunctionEngine:
             matches.extend(engine.process(event))
         return matches
 
-    def process_batch(self, events) -> list[Match]:
-        """Feed a chunk of events.  Disjunct outputs interleave per
-        event (every engine sees event *i* before any engine sees event
-        *i+1*), so the match stream is byte-identical to per-event
-        :meth:`process` calls — the chunk only amortizes call overhead.
-        """
-        matches: list[Match] = []
-        for event in events:
-            matches.extend(self.process(event))
-        return matches
-
     def run(self, stream: Stream) -> list[Match]:
         matches: list[Match] = []
         for event in stream:
             matches.extend(self.process(event))
-        matches.extend(self.finalize())
-        return matches
-
-    def run_batched(
-        self, stream: Stream, batch_size: int = 256
-    ) -> list[Match]:
-        """Chunked :meth:`run` (same matches, same order)."""
-        matches: list[Match] = []
-        chunk: list[Event] = []
-        for event in stream:
-            chunk.append(event)
-            if len(chunk) >= batch_size:
-                matches.extend(self.process_batch(chunk))
-                chunk = []
-        if chunk:
-            matches.extend(self.process_batch(chunk))
         matches.extend(self.finalize())
         return matches
 

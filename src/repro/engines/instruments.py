@@ -123,9 +123,9 @@ INSTRUMENTS: Tuple[Instrument, ...] = (
         "predicate kernels rendered and exec-compiled from source",
         "predicate kernels rendered to straight-line\n"
         "Python source and exec-compiled\n"
-        "(:mod:`repro.patterns.compile` codegen backend);\n"
-        "0 with ``codegen=False`` or when every kernel\n"
-        "shape was already cached",
+        "(:mod:`repro.patterns.compile`); 0 when every\n"
+        "kernel shape was already cached or no predicate\n"
+        "list was specializable",
     ),
     Instrument(
         "codegen_cache_hits", "counter", "codegen_cache_hits", "engine",
@@ -135,21 +135,6 @@ INSTRUMENTS: Tuple[Instrument, ...] = (
         "source doubles as a structural signature, so\n"
         "identical kernel shapes compile exactly once per\n"
         "process)",
-    ),
-    Instrument(
-        "batches_processed", "counter", "batches_processed", "engine",
-        "event chunks routed through process_batch()",
-        "event chunks routed through ``process_batch``\n"
-        "(batch-vectorized execution); 0 on the classic\n"
-        "per-event ``process`` path",
-    ),
-    Instrument(
-        "batch_probe_fanout", "counter", "batch_probe_fanout", "engine",
-        "store/buffer probes served through batch probe passes",
-        "store/buffer probes served through the grouped\n"
-        "``probe_batch`` entry points (sorted by bucket\n"
-        "key, shared bucket resolution) instead of one\n"
-        "probe call each",
     ),
     Instrument(
         "pm_expired", "counter", "pm_expired", "engine",
@@ -323,14 +308,6 @@ INSTRUMENTS: Tuple[Instrument, ...] = (
         "outside the service layer; single-engine runs\n"
         "report ``wall_latencies`` instead (which excludes\n"
         "queueing and shipping)",
-    ),
-    Instrument(
-        "batch_sizes", "histogram", "batch_sizes", "engine",
-        "events per process_batch() chunk",
-        "mergeable histogram of events per\n"
-        "``process_batch`` chunk (the same log-bucketed\n"
-        "structure as ``detection_latency``); empty on the\n"
-        "per-event path",
     ),
     Instrument(
         "watermark_lag", "histogram", "watermark_lag", "disorder",

@@ -249,7 +249,6 @@ class ParallelExecutor:
         max_kleene_size: Optional[int] = None,
         indexed: bool = True,
         compiled: bool = True,
-        codegen: bool = True,
     ) -> None:
         self.config = config or ParallelConfig()
         if self.config.backend == "socket":
@@ -270,7 +269,6 @@ class ParallelExecutor:
                 max_kleene_size=max_kleene_size,
                 indexed=indexed,
                 compiled=compiled,
-                codegen=codegen,
             )
         else:
             items = list(planned)
@@ -291,7 +289,6 @@ class ParallelExecutor:
                 max_kleene_size=max_kleene_size,
                 indexed=indexed,
                 compiled=compiled,
-                codegen=codegen,
             )
         self._window = max(d.window for d in decomposeds)
         # Whether any pattern defers matches past their completion event

@@ -51,7 +51,6 @@ class EngineSpec:
     max_kleene_size: Optional[int] = None
     indexed: bool = True
     compiled: bool = True
-    codegen: bool = True
 
     @classmethod
     def from_planned(
@@ -60,7 +59,6 @@ class EngineSpec:
         max_kleene_size: Optional[int] = None,
         indexed: bool = True,
         compiled: bool = True,
-        codegen: bool = True,
     ) -> "EngineSpec":
         return cls(
             parts=[
@@ -70,7 +68,6 @@ class EngineSpec:
             max_kleene_size=max_kleene_size,
             indexed=indexed,
             compiled=compiled,
-            codegen=codegen,
         )
 
     def build(self):
@@ -90,7 +87,6 @@ class EngineSpec:
                 max_kleene_size=self.max_kleene_size,
                 indexed=self.indexed,
                 compiled=self.compiled,
-                codegen=self.codegen,
             )
             for part in self.parts
         ]
@@ -111,7 +107,6 @@ class SharedSpec:
     max_kleene_size: Optional[int] = None
     indexed: bool = True
     compiled: bool = True
-    codegen: bool = True
 
     def build(self):
         from ..multiquery.executor import MultiQueryEngine
@@ -121,7 +116,6 @@ class SharedSpec:
             max_kleene_size=self.max_kleene_size,
             indexed=self.indexed,
             compiled=self.compiled,
-            codegen=self.codegen,
         )
 
 
@@ -266,35 +260,17 @@ class TaskRunner:
     def feed(self, entries: Sequence[Tuple[int, Event]]) -> None:
         engines = self._engines
         self._fed = True
-        if self.task.mode == "window":
-            # Window slices evict per event (time-ordered hand-off), so
-            # they stay on the per-event path.
-            for key, event in entries:
-                engine = engines.get(key)
-                if engine is None:
-                    engine = self._build_engine(key)
-                self._collect(key, engine.process(event))
-                self._evict_passed(event.timestamp)
-            return
-        # Key/single shards: maximal same-key runs go through the batch
-        # path in one call (same matches, same order — see
-        # BaseEngine.process_batch), amortizing admission and probes.
-        entries = list(entries)
-        i, n = 0, len(entries)
-        while i < n:
-            key = entries[i][0]
-            j = i + 1
-            while j < n and entries[j][0] == key:
-                j += 1
+        # One event at a time in arrival order, for every shard mode;
+        # window slices also retire once the feed passes their delivery
+        # bound (time-ordered hand-off).
+        window = self.task.mode == "window"
+        for key, event in entries:
             engine = engines.get(key)
             if engine is None:
                 engine = self._build_engine(key)
-            if j - i == 1:
-                self._collect(key, engine.process(entries[i][1]))
-            else:
-                chunk = [event for _, event in entries[i:j]]
-                self._collect(key, engine.process_batch(chunk))
-            i = j
+            self._collect(key, engine.process(event))
+            if window:
+                self._evict_passed(event.timestamp)
 
     def _build_engine(self, key: int):
         engine = self.task.spec.build()

@@ -8,7 +8,8 @@ the hardware that per-candidate work — not the number of partial matches
 stores of :mod:`repro.engines.stores`).
 
 This module compiles a runtime node's predicate list **once, at engine
-build time**, into a single conjunction closure (*kernel*):
+build time**, into a single conjunction (*kernel*).  The closure kernels
+below are the general form:
 
 * operand accessors are resolved up front — variable side (existing
   partial match vs. arriving material), storage name (DAG edge
@@ -49,13 +50,13 @@ Engines expose ``compiled=False`` to keep the interpreted path
 byte-identical — the baseline of the kernel-equivalence tests and the
 fig24 benchmark.
 
-Codegen backend
----------------
+Generated kernels
+-----------------
 
-On top of the closure kernels this module carries an ``exec``-codegen
-backend (``codegen=True``, the default): when every predicate in the
-list is specializable, the whole conjunction renders to **one
-straight-line Python function** — operand accessors inlined as direct
+When every predicate in the list is specializable (a plain
+:class:`Comparison` over :class:`Attr`/:class:`Const` operands), the
+whole conjunction is ``exec``-generated as **one straight-line Python
+function** — operand accessors inlined as direct
 subscripts, comparison operators as native syntax (no
 ``operator.lt`` call), Kleene universal loops and empty-tuple vacuity
 emitted inline, ``KeyError``/``TypeError``→False via a single
@@ -66,9 +67,9 @@ is value-free: constants, the metrics object, the tracker and the
 observation keys bind as default arguments at ``exec`` time, so the
 rendered source doubles as the cache key — one ``compile()`` per
 kernel *shape* per process (``EngineMetrics.kernels_generated`` /
-``codegen_cache_hits`` count both sides).  Any non-specializable
-predicate, or ``codegen=False``, falls back to the closure kernels
-byte-identically.
+``codegen_cache_hits`` count both sides).  A list holding any
+non-specializable predicate falls back to the closure kernels, with the
+same outcomes and charges.
 
 Set ``REPRO_DUMP_KERNELS=<dir>`` to dump each newly generated source
 file for inspection (one ``kernel_<hash>.py`` per shape).
@@ -482,17 +483,17 @@ def _predicate_shape(predicate: Comparison, resolver, event_name, consts):
     return ("kl_one", op, tup, attr, lexpr, False)
 
 
-def _fail_lines(indent: str, count: str, rank: int, action: str) -> list:
+def _fail_lines(indent: str, count: str, rank: int) -> list:
     """Failure epilogue of predicate ``rank`` (1-based): charge the
-    short-circuit count in ``"each"`` mode, then fail via ``action``."""
+    short-circuit count in ``"each"`` mode, then return False."""
     lines = []
     if count == "each":
         lines.append(f"{indent}_M.predicate_evaluations += {rank}")
-    lines.append(f"{indent}{action}")
+    lines.append(f"{indent}return False")
     return lines
 
 
-def _shape_lines(shape, i, indent, count, action) -> list:
+def _shape_lines(shape, i, indent, count) -> list:
     """Straight-line body of one predicate for the untracked kernel.
 
     Mirrors the closure shapes of :func:`_compile_comparison` exactly:
@@ -505,14 +506,14 @@ def _shape_lines(shape, i, indent, count, action) -> list:
         _, op, lexpr, rexpr = shape
         return [
             f"{indent}if not ({lexpr} {op} {rexpr}):",
-            *_fail_lines(sub, count, i + 1, action),
+            *_fail_lines(sub, count, i + 1),
         ]
     if kind == "kl_same":
         _, op, tup, lattr, rattr = shape
         return [
             f"{indent}for _e in {tup}:",
             f"{sub}if not (_e[{lattr!r}] {op} _e[{rattr!r}]):",
-            *_fail_lines(sub + "    ", count, i + 1, action),
+            *_fail_lines(sub + "    ", count, i + 1),
         ]
     if kind == "kl_one":
         _, op, tup, attr, other, kleene_left = shape
@@ -527,7 +528,7 @@ def _shape_lines(shape, i, indent, count, action) -> list:
             f"{sub}_o{i} = {other}",
             f"{sub}for _e in _t{i}:",
             f"{sub}    if not ({test}):",
-            *_fail_lines(sub + "        ", count, i + 1, action),
+            *_fail_lines(sub + "        ", count, i + 1),
         ]
     _, op, ltup, lattr, rtup, rattr = shape
     return [
@@ -538,7 +539,7 @@ def _shape_lines(shape, i, indent, count, action) -> list:
         f"{sub}    _v{i} = _e[{lattr!r}]",
         f"{sub}    for _f in _u{i}:",
         f"{sub}        if not (_v{i} {op} _f[{rattr!r}]):",
-        *_fail_lines(sub + "            ", count, i + 1, action),
+        *_fail_lines(sub + "            ", count, i + 1),
     ]
 
 
@@ -626,7 +627,7 @@ def _gen_untracked(shapes, count, args, const_names, total) -> str:
     for i, shape in enumerate(shapes):
         if count == "each" and i:
             lines.append(f"        _n = {i + 1}")
-        lines.extend(_shape_lines(shape, i, "        ", count, "return False"))
+        lines.extend(_shape_lines(shape, i, "        ", count))
     lines.append(f"    except {_EXCEPTS}:")
     if count == "each":
         lines.append("        _M.predicate_evaluations += _n")
@@ -660,49 +661,6 @@ def _gen_tracked(shapes, count, args, const_names, key_flags, total) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _gen_event_batch(shapes, count, const_names, total) -> str:
-    """Vectorized unary admission: the per-event loop lives inside the
-    generated function, so a whole chunk runs with zero Python call
-    overhead per event.  Event kernels never see Kleene bindings, so
-    every shape is scalar and the fail action is a plain ``break`` out
-    of the per-event ``while``."""
-    params = ", ".join(
-        ["events", "_M=_M", *(f"{n}={n}" for n in const_names)]
-    )
-    lines = [
-        f"def kernel({params}):",
-        "    _out = []",
-        "    _ap = _out.append",
-        "    for event in events:",
-        "        _M.predicate_kernel_calls += 1",
-    ]
-    if count == "all":
-        lines.append(f"        _M.predicate_evaluations += {total}")
-    lines.append("        _ok = False")
-    if count == "each":
-        lines.append("        _n = 1")
-    lines.append("        try:")
-    lines.append("            while True:")
-    for i, shape in enumerate(shapes):
-        if count == "each" and i:
-            lines.append(f"                _n = {i + 1}")
-        lines.extend(
-            _shape_lines(shape, i, "                ", count, "break")
-        )
-    if count == "each":
-        lines.append(f"                _M.predicate_evaluations += {total}")
-    lines.append("                _ok = True")
-    lines.append("                break")
-    lines.append(f"        except {_EXCEPTS}:")
-    if count == "each":
-        lines.append("            _M.predicate_evaluations += _n")
-    else:
-        lines.append("            pass")
-    lines.append("        _ap(_ok)")
-    lines.append("    return _out")
-    return "\n".join(lines) + "\n"
-
-
 def _maybe_dump(source: str) -> None:
     directory = os.environ.get("REPRO_DUMP_KERNELS")
     if not directory:
@@ -720,9 +678,8 @@ def _generate(
 ) -> Kernel:
     """Render, compile (or fetch from cache) and instantiate one kernel.
 
-    ``form`` is ``"pair"`` (``kernel(left, right)``), ``"event"``
-    (``kernel(event)``) or ``"event_batch"``
-    (``kernel(events) -> list[bool]``).
+    ``form`` is ``"pair"`` (``kernel(left, right)``) or ``"event"``
+    (``kernel(event)``).
     """
     consts: dict = {}
     event_name = "right" if form == "pair" else "event"
@@ -732,9 +689,7 @@ def _generate(
     total = len(preds)
     args = ["left", "right"] if form == "pair" else ["event"]
     keys = [(sel_key_by_pred or {}).get(id(p)) for p in preds]
-    if form == "event_batch":
-        source = _gen_event_batch(shapes, count, list(consts), total)
-    elif tracker is not None:
+    if tracker is not None:
         key_flags = [key is not None for key in keys]
         source = _gen_tracked(
             shapes, count, args, list(consts), key_flags, total
@@ -764,20 +719,28 @@ def _build(
     count,
     tracker,
     sel_key_by_pred,
-    codegen=False,
     form="pair",
 ):
+    """Generated kernel when every predicate is specializable, the
+    closure kernel otherwise; None for an empty predicate list."""
     if count not in COUNT_MODES:
         raise PatternError(f"unknown count mode {count!r}")
     preds = list(predicates)
     if not preds:
         return None
-    if codegen and all(_specializable(p) for p in preds):
+    if all(_specializable(p) for p in preds):
         return _generate(
             preds, resolver, metrics, count, tracker, sel_key_by_pred, form
         )
     fns = [_compile_predicate(p, resolver) for p in preds]
-    return _conjunction(fns, preds, metrics, count, tracker, sel_key_by_pred)
+    kernel = _conjunction(fns, preds, metrics, count, tracker, sel_key_by_pred)
+    if form == "pair":
+        return kernel
+
+    def event_kernel(event, _k=kernel):
+        return _k(None, event)
+
+    return event_kernel
 
 
 # -- public compilers --------------------------------------------------------
@@ -792,7 +755,6 @@ def compile_merge_kernel(
     left_rename: Optional[Mapping[str, str]] = None,
     right_rename: Optional[Mapping[str, str]] = None,
     count: str = "each",
-    codegen: bool = True,
 ) -> Optional[Kernel]:
     """Kernel over two partial matches: ``kernel(left_b, right_b)``.
 
@@ -801,10 +763,6 @@ def compile_merge_kernel(
     namespace names to storage names (multi-query DAG edges).  ``kleene``
     names (predicate namespace) are bound to event tuples and expand
     with universal semantics.  Returns None for an empty predicate list.
-
-    ``codegen=True`` renders fully specializable predicate lists to one
-    generated function (see the module docstring); ``codegen=False`` and
-    non-specializable lists take the closure path.
     """
     sides = {v: _LEFT for v in left_variables}
     for v in right_variables:
@@ -812,15 +770,7 @@ def compile_merge_kernel(
     renames = dict(left_rename or {})
     renames.update(right_rename or {})
     resolver = _Resolver(sides, renames, frozenset(kleene))
-    return _build(
-        predicates,
-        resolver,
-        metrics,
-        count,
-        tracker,
-        sel_key_by_pred,
-        codegen=codegen,
-    )
+    return _build(predicates, resolver, metrics, count, tracker, sel_key_by_pred)
 
 
 def compile_extension_kernel(
@@ -830,7 +780,6 @@ def compile_extension_kernel(
     metrics,
     tracker=None,
     sel_key_by_pred: Optional[dict] = None,
-    codegen: bool = True,
 ) -> Optional[Kernel]:
     """Kernel for binding one arriving event: ``kernel(bindings, event)``.
 
@@ -846,15 +795,7 @@ def compile_extension_kernel(
         for name in predicate.variables:
             sides.setdefault(name, _LEFT)
     resolver = _Resolver(sides, {}, kleene)
-    return _build(
-        predicates,
-        resolver,
-        metrics,
-        "each",
-        tracker,
-        sel_key_by_pred,
-        codegen=codegen,
-    )
+    return _build(predicates, resolver, metrics, "each", tracker, sel_key_by_pred)
 
 
 def compile_event_kernel(
@@ -864,69 +805,14 @@ def compile_event_kernel(
     tracker=None,
     sel_key_by_pred: Optional[dict] = None,
     count: str = "each",
-    codegen: bool = True,
 ) -> Optional[Callable[[object], bool]]:
     """Unary admission kernel: ``kernel(event)`` for one variable's
     filters (tree/multi-query leaf admission, NFA buffer filters).
 
-    The codegen backend emits the unary form directly (no closure
-    wrapper hop); the closure fallback keeps the historical wrapper.
+    Generated kernels take the event directly; the closure fallback
+    wraps the pair kernel.
     """
-    if count not in COUNT_MODES:
-        raise PatternError(f"unknown count mode {count!r}")
-    preds = list(predicates)
-    if not preds:
-        return None
     resolver = _Resolver({variable: _EVENT}, {}, frozenset())
-    if codegen and all(_specializable(p) for p in preds):
-        return _generate(
-            preds, resolver, metrics, count, tracker, sel_key_by_pred, "event"
-        )
-    kernel = _build(preds, resolver, metrics, count, tracker, sel_key_by_pred)
-
-    def event_kernel(event, _k=kernel):
-        return _k(None, event)
-
-    return event_kernel
-
-
-def compile_event_batch_kernel(
-    predicates: Iterable[Predicate],
-    variable: str,
-    metrics,
-    sel_key_by_pred: Optional[dict] = None,
-    count: str = "each",
-    codegen: bool = True,
-) -> Optional[Callable[[Iterable[object]], list]]:
-    """Vectorized admission kernel: ``kernel(events) -> list[bool]``.
-
-    Charges metrics per event exactly like calling the unary kernel in
-    a loop; with codegen the loop itself is generated, so a chunk runs
-    with no per-event Python call overhead.  Observing runs stay on the
-    per-event path (engines disable batch admission under a tracker),
-    so there is no tracked variant.
-    """
-    if count not in COUNT_MODES:
-        raise PatternError(f"unknown count mode {count!r}")
-    preds = list(predicates)
-    if not preds:
-        return None
-    if codegen and all(_specializable(p) for p in preds):
-        resolver = _Resolver({variable: _EVENT}, {}, frozenset())
-        return _generate(
-            preds, resolver, metrics, count, None, sel_key_by_pred, "event_batch"
-        )
-    unary = compile_event_kernel(
-        preds,
-        variable,
-        metrics,
-        tracker=None,
-        sel_key_by_pred=sel_key_by_pred,
-        count=count,
-        codegen=codegen,
+    return _build(
+        predicates, resolver, metrics, count, tracker, sel_key_by_pred, "event"
     )
-
-    def batch_kernel(events, _k=unary):
-        return [_k(event) for event in events]
-
-    return batch_kernel

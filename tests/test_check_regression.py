@@ -3,7 +3,8 @@
 The gate is a standalone script (benchmarks is not a package), so it
 is loaded here by file path.  These tests pin the comparison contract
 CI relies on: pairing by run identity, the >tolerance failure rule,
-ratio and derived-throughput metrics, and the smoke-scale guard.
+failure on baselined runs or metrics missing from the results, ratio
+and derived-throughput metrics, and the smoke-scale guard.
 """
 
 from __future__ import annotations
@@ -97,13 +98,34 @@ class TestCompare:
         assert [item["metric"] for item in regressions] == ["speedup"]
         assert regressions[0]["tolerance"] == gate.SMOKE_RATIO_TOLERANCE
 
-    def test_new_and_missing_runs_are_notes(self, gate):
+    def test_new_runs_are_notes_missing_runs_fail(self, gate):
         baseline, current = _payload(10000.0), _payload(10000.0)
         current["runs"][0] = dict(current["runs"][0], mode="serial")
         regressions, notes = gate.compare(baseline, current)
-        assert regressions == []
-        assert any("missing" in note for note in notes)
+        assert [item["missing"] for item in regressions] == ["run"]
+        assert regressions[0]["key"] == gate.run_key(baseline["runs"][0])
         assert any("no baseline" in note for note in notes)
+
+    def test_missing_metric_fails(self, gate, tmp_path, capsys):
+        # Even at smoke scale, where absolute metrics do not gate, a
+        # baselined metric that vanished from the results fails.
+        baseline = _payload(10000.0, smoke=True)
+        baseline["runs"][0]["speedup_batch"] = 2.0
+        current = _payload(10000.0, smoke=True)
+        regressions, _ = gate.compare(baseline, current)
+        assert [(item["missing"], item["metric"]) for item in regressions] == [
+            ("metric", "speedup_batch")
+        ]
+        baselines, results = tmp_path / "baselines", tmp_path / "results"
+        for directory, payload in ((baselines, baseline), (results, current)):
+            directory.mkdir()
+            (directory / "BENCH_fig99.json").write_text(json.dumps(payload))
+        assert gate.main([
+            "--baselines", str(baselines), "--results", str(results)
+        ]) == 1
+        out = capsys.readouterr().out
+        assert "MISSING baselined metric speedup_batch" in out
+        assert "--update" in out
 
     def test_pairing_ignores_record_order(self, gate):
         runs = [

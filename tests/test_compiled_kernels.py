@@ -7,6 +7,12 @@ comparison operators, ``Const`` and ``Attr`` operands, Kleene tuples
 types — must produce, through the compiled kernel, exactly the outcome,
 ``predicate_evaluations`` charge, and per-predicate selectivity
 observation sequence of the interpreted short-circuit loop it replaces.
+
+Each property test runs on two input tiers: ``codegen`` draws pure
+comparison lists, which compile to exec-generated kernels, and
+``closure`` splices a :class:`FunctionPredicate` or :class:`Adjacent`
+into the list, which sends it down the closure-kernel fallback.  The
+tests assert that the intended tier was actually reached.
 """
 
 from __future__ import annotations
@@ -38,6 +44,7 @@ LEFT_VARS = ("a", "k")
 RIGHT_VARS = ("b",)
 KLEENE = ("k",)
 SEEDS = range(40)
+TIERS = ("closure", "codegen")
 
 
 class RecordingTracker:
@@ -100,6 +107,35 @@ def rand_bindings(rng: random.Random, variables, next_seq=0):
     return bindings, next_seq
 
 
+def seq_spread(*events) -> bool:
+    """Total user function (reads only ``seq``) for fallback predicates."""
+    return sum(event.seq for event in events) % 3 != 0
+
+
+def for_tier(rng: random.Random, predicates, variables, tier):
+    """``closure`` tier: splice one non-specializable predicate into the
+    drawn comparisons so the list takes the closure fallback; the
+    ``codegen`` tier keeps the pure comparison list (and draws nothing,
+    so its inputs do not depend on the other tier)."""
+    if tier == "codegen":
+        return predicates
+    if len(variables) >= 2 and rng.random() < 0.5:
+        extra = Adjacent(variables[0], variables[-1])
+    else:
+        chosen = rng.sample(variables, min(2, len(variables)))
+        extra = FunctionPredicate(chosen, seq_spread, name="seq_spread")
+    spliced = list(predicates)
+    spliced.insert(rng.randrange(len(spliced) + 1), extra)
+    return spliced
+
+
+def assert_tier(metrics: EngineMetrics, tier: str) -> None:
+    """Generated kernels count a compile or a cache hit; the closure
+    fallback touches neither."""
+    generated = metrics.kernels_generated + metrics.codegen_cache_hits
+    assert (generated > 0) == (tier == "codegen")
+
+
 def sel_keys_for(predicates) -> dict:
     """The engine's observation-key convention (BaseEngine.__init__)."""
     keys = {}
@@ -129,12 +165,13 @@ def interpret(predicates, bindings, sel_keys):
     return outcome, evaluated, observed
 
 
-@pytest.mark.parametrize("codegen", (False, True), ids=["closure", "codegen"])
+@pytest.mark.parametrize("tier", TIERS)
 @pytest.mark.parametrize("seed", SEEDS)
-def test_merge_kernel_matches_interpreted(seed, codegen):
+def test_merge_kernel_matches_interpreted(seed, tier):
     rng = random.Random(seed)
     variables = LEFT_VARS + RIGHT_VARS
     predicates = rand_predicates(rng, variables, rng.randrange(1, 5))
+    predicates = for_tier(rng, predicates, variables, tier)
     sel_keys = sel_keys_for(predicates)
     for observing in (False, True):
         metrics = EngineMetrics()
@@ -147,8 +184,8 @@ def test_merge_kernel_matches_interpreted(seed, codegen):
             metrics,
             tracker=tracker,
             sel_key_by_pred=sel_keys,
-            codegen=codegen,
         )
+        assert_tier(metrics, tier)
         for _ in range(25):
             left, next_seq = rand_bindings(rng, LEFT_VARS)
             right, _ = rand_bindings(rng, RIGHT_VARS, next_seq)
@@ -166,15 +203,16 @@ def test_merge_kernel_matches_interpreted(seed, codegen):
                 assert tracker.observed[len(obs_before):] == observed
 
 
-@pytest.mark.parametrize("codegen", (False, True), ids=["closure", "codegen"])
+@pytest.mark.parametrize("tier", TIERS)
 @pytest.mark.parametrize("seed", SEEDS)
-def test_extension_kernel_matches_interpreted(seed, codegen):
+def test_extension_kernel_matches_interpreted(seed, tier):
     """The NFA/tree extension path: new variable read from the event."""
     rng = random.Random(seed)
     new_variable = rng.choice(("b", "k"))  # scalar and Kleene extension
     prior = tuple(v for v in ("a", "k") if v != new_variable) or ("a",)
     variables = prior + (new_variable,)
     predicates = rand_predicates(rng, variables, rng.randrange(1, 5))
+    predicates = for_tier(rng, predicates, variables, tier)
     sel_keys = sel_keys_for(predicates)
     metrics = EngineMetrics()
     tracker = RecordingTracker()
@@ -185,8 +223,8 @@ def test_extension_kernel_matches_interpreted(seed, codegen):
         metrics,
         tracker=tracker,
         sel_key_by_pred=sel_keys,
-        codegen=codegen,
     )
+    assert_tier(metrics, tier)
     for _ in range(25):
         bindings, next_seq = rand_bindings(rng, prior)
         event = rand_event(rng, next_seq)
@@ -200,18 +238,19 @@ def test_extension_kernel_matches_interpreted(seed, codegen):
         assert tracker.observed[obs_before:] == observed
 
 
-@pytest.mark.parametrize("codegen", (False, True), ids=["closure", "codegen"])
+@pytest.mark.parametrize("tier", TIERS)
 @pytest.mark.parametrize("seed", SEEDS[:10])
-def test_event_kernel_count_all_matches_admission(seed, codegen):
+def test_event_kernel_count_all_matches_admission(seed, tier):
     """Tree/multi-query admission pre-charges len(filters)."""
     rng = random.Random(seed)
     predicates = rand_predicates(rng, ("a",), rng.randrange(1, 4))
+    predicates = for_tier(rng, predicates, ("a",), tier)
     sel_keys = sel_keys_for(predicates)
     metrics = EngineMetrics()
     kernel = compile_event_kernel(
-        predicates, "a", metrics, sel_key_by_pred=sel_keys, count="all",
-        codegen=codegen,
+        predicates, "a", metrics, sel_key_by_pred=sel_keys, count="all"
     )
+    assert_tier(metrics, tier)
     for _ in range(20):
         event = rand_event(rng, 0)
         expected, _, _ = interpret(predicates, {"a": event}, sel_keys)
@@ -311,42 +350,7 @@ def test_nan_and_missing_attribute_comparisons_stay_false():
         assert math.isnan(nan)  # guard the test fixture itself
 
 
-# -- codegen backend --------------------------------------------------------
-
-@pytest.mark.parametrize("seed", SEEDS[:20])
-def test_generated_kernels_match_closure_kernels(seed):
-    """Closure vs exec-generated source, head to head on the same
-    inputs: outcome, predicate_evaluations charge, and observation
-    sequence must be identical — across all six operators, Kleene
-    tuples (including empty), NaN, missing attributes, mixed types."""
-    rng = random.Random(seed)
-    variables = LEFT_VARS + RIGHT_VARS
-    predicates = rand_predicates(rng, variables, rng.randrange(1, 5))
-    sel_keys = sel_keys_for(predicates)
-    builds = []
-    for codegen in (False, True):
-        metrics = EngineMetrics()
-        tracker = RecordingTracker()
-        builds.append(
-            (
-                compile_merge_kernel(
-                    predicates, LEFT_VARS, RIGHT_VARS, KLEENE, metrics,
-                    tracker=tracker, sel_key_by_pred=sel_keys,
-                    codegen=codegen,
-                ),
-                metrics,
-                tracker,
-            )
-        )
-    (closure, c_metrics, c_tracker), (generated, g_metrics, g_tracker) = builds
-    for _ in range(30):
-        left, next_seq = rand_bindings(rng, LEFT_VARS)
-        right, _ = rand_bindings(rng, RIGHT_VARS, next_seq)
-        assert closure(left, right) is generated(left, right)
-    assert c_metrics.predicate_evaluations == g_metrics.predicate_evaluations
-    assert c_metrics.predicate_kernel_calls == g_metrics.predicate_kernel_calls
-    assert c_tracker.observed == g_tracker.observed
-
+# -- generated kernels ------------------------------------------------------
 
 def test_codegen_cache_hits_and_generation_counter():
     """Structurally identical kernels compile once; the second build is
@@ -368,8 +372,10 @@ def test_codegen_cache_hits_and_generation_counter():
     assert metrics.kernels_generated == 1
     assert metrics.codegen_cache_hits == 1
     assert codegen_cache_size() == 1
-    # codegen=False never touches the cache.
-    compile_merge_kernel(again, ("a",), ("b",), (), metrics, codegen=False)
+    # A non-specializable predicate sends the list to the closure
+    # fallback, which never touches the cache.
+    fallback = again + [Adjacent("a", "b")]
+    compile_merge_kernel(fallback, ("a",), ("b",), (), metrics)
     assert metrics.kernels_generated == 1
     assert metrics.codegen_cache_hits == 1
 
@@ -386,28 +392,3 @@ def test_dump_kernels_hook_writes_sources(tmp_path, monkeypatch):
     assert len(dumped) == 1
     source = dumped[0].read_text()
     assert "def kernel" in source
-
-
-@pytest.mark.parametrize("codegen", (False, True), ids=["closure", "codegen"])
-@pytest.mark.parametrize("count", ("each", "all", "none"))
-def test_event_batch_kernel_matches_per_event(count, codegen):
-    """The admission batch kernel must agree with the per-event kernel
-    on every event of a chunk, and charge the same per-event totals."""
-    from repro.patterns import compile_event_batch_kernel
-
-    rng = random.Random(11)
-    predicates = rand_predicates(rng, ("a",), 3)
-    single_metrics = EngineMetrics()
-    single = compile_event_kernel(
-        predicates, "a", single_metrics, count=count, codegen=codegen
-    )
-    batch_metrics = EngineMetrics()
-    batch = compile_event_batch_kernel(
-        predicates, "a", batch_metrics, count=count, codegen=codegen
-    )
-    events = [rand_event(rng, seq) for seq in range(40)]
-    assert batch(events) == [bool(single(e)) for e in events]
-    assert (
-        batch_metrics.predicate_evaluations
-        == single_metrics.predicate_evaluations
-    )

@@ -84,20 +84,22 @@ class TestKeyEquivalence:
     @pytest.mark.parametrize("seed", (3, 11))
     @pytest.mark.parametrize("workers", (1, 2, 4))
     def test_matches_identical_to_serial(self, algorithm, seed, workers):
-        stream = keyed_stream(seed)
-        planned = plans_for(KEYED, stream, algorithm)
-        serial = build_engines(planned).run(stream)
-        executor = ParallelExecutor(
-            planned,
-            ParallelConfig(
-                workers=workers, partitioner="key", backend="serial",
-                batch_size=64,
-            ),
-        )
-        assert_identical(executor.run(stream), serial)
-        assert executor.partitioner_name == "key"
-        # Key routing never duplicates, so no boundary handling happens.
-        assert executor.metrics.boundary_duplicates_dropped == 0
+        # keys=2 with 64-event frames: long same-key runs inside a frame.
+        for keys in (5, 2):
+            stream = keyed_stream(seed, keys=keys)
+            planned = plans_for(KEYED, stream, algorithm)
+            serial = build_engines(planned).run(stream)
+            executor = ParallelExecutor(
+                planned,
+                ParallelConfig(
+                    workers=workers, partitioner="key", backend="serial",
+                    batch_size=64,
+                ),
+            )
+            assert_identical(executor.run(stream), serial)
+            assert executor.partitioner_name == "key"
+            # Key routing never duplicates: no boundary handling happens.
+            assert executor.metrics.boundary_duplicates_dropped == 0
 
     def test_auto_picks_key_for_covered_pattern(self):
         stream = keyed_stream(7)

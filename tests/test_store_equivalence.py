@@ -374,8 +374,8 @@ def ev_attrs(**attrs) -> Event:
     ids=["kleene", "kleene-theta"],
 )
 def test_kleene_equality_predicates_engage_the_index(name, text, seed):
-    """Kleene variables now key hash indexes (satellite of the codegen
-    PR): the indexed run must actually probe buckets — not silently fall
+    """Kleene variables key hash indexes: the indexed run must actually
+    probe buckets — not silently fall
     back to linear scans — while reproducing the linear emission order
     (asserted pattern-wide by the main equivalence test above)."""
     stream = rand_stream(seed)
@@ -385,191 +385,3 @@ def test_kleene_equality_predicates_engage_the_index(name, text, seed):
     baseline = TreeEngine(d, tree, indexed=False, max_kleene_size=3).run(stream)
     assert keys_of(engine.run(stream)) == keys_of(baseline)
     assert engine.metrics.index_probes > 0
-
-
-# -- Batch-vs-single-event equivalence --------------------------------------
-
-#: Chunk sizes spanning the gates: 1 (pure per-event), small runs, and
-#: whole-stream gulps.
-BATCH_SIZES = (1, 3, 16, 1000)
-
-#: Metrics that must not move under batching: the batch path may shift
-#: index-hit accounting (one probe serves a run) but never the logical
-#: work — events seen, predicates charged, partial matches built,
-#: matches emitted.
-CORE_METRICS = (
-    "events",
-    "matches",
-    "pm_created",
-    "predicate_evals",
-    "pm_expired",
-)
-
-
-def match_sig(matches) -> list:
-    return [(m.key(), m.detection_ts, m.latency) for m in matches]
-
-
-def core_metrics(engine) -> dict:
-    summary = engine.metrics.summary()
-    return {k: summary[k] for k in CORE_METRICS}
-
-
-@pytest.mark.parametrize("seed", SEEDS)
-@pytest.mark.parametrize(
-    "name,text",
-    [PATTERNS[0], PATTERNS[4], PATTERNS[5], PATTERNS[8]],
-    ids=["equality", "hash+range", "kleene", "negation-theta"],
-)
-def test_batched_runs_match_single_event(name, text, seed):
-    """run_batched must reproduce run exactly — same ordered match
-    signatures and same logical metric charges — for every chunk size,
-    engine, acceleration mode, and kernel backend."""
-    stream = rand_stream(seed)
-    d = decompose(parse_pattern(text))
-    kwargs = {"max_kleene_size": 3} if name.startswith("kleene") else {}
-    tree = next(iter(enumerate_bushy_trees(d.positive_variables)))
-    order = next(iter(enumerate_orders(d.positive_variables)))
-    for indexed, compiled, codegen in (
-        (True, True, True),
-        (True, True, False),
-        (False, True, True),
-        (True, False, True),
-        (False, False, False),
-    ):
-        for build in (
-            lambda: TreeEngine(
-                d, tree, indexed=indexed, compiled=compiled,
-                codegen=codegen, **kwargs
-            ),
-            lambda: NFAEngine(
-                d, order, indexed=indexed, compiled=compiled,
-                codegen=codegen, **kwargs
-            ),
-        ):
-            single = build()
-            baseline = single.run(stream)
-            for batch_size in BATCH_SIZES:
-                batched_engine = build()
-                batched = batched_engine.run_batched(
-                    stream, batch_size=batch_size
-                )
-                label = (
-                    f"{name} batch={batch_size} (indexed={indexed}, "
-                    f"compiled={compiled}, codegen={codegen})"
-                )
-                assert match_sig(batched) == match_sig(baseline), label
-                assert core_metrics(batched_engine) == core_metrics(single), label
-                assert (
-                    batched_engine.metrics.batches_processed
-                    == -(-len(stream) // batch_size)
-                ), label
-
-
-@pytest.mark.parametrize("seed", SEEDS)
-@pytest.mark.parametrize("selection", ["next", "strict"])
-def test_batched_consuming_strategies_match_single_event(seed, selection):
-    """Consuming strategies gate batched runs back onto the per-event
-    path — the equivalence must hold regardless."""
-    stream = rand_stream(seed, count=80, types="ABC")
-    d = decompose(
-        parse_pattern("PATTERN SEQ(A a, B b, C c) WHERE a.x = b.x WITHIN 5")
-    )
-    tree = next(iter(enumerate_bushy_trees(d.positive_variables)))
-    order = next(iter(enumerate_orders(d.positive_variables)))
-    for build in (
-        lambda: TreeEngine(d, tree, selection=selection, indexed=True),
-        lambda: NFAEngine(d, order, selection=selection, indexed=True),
-    ):
-        single = build()
-        baseline = single.run(stream)
-        for batch_size in (3, 64):
-            batched_engine = build()
-            batched = batched_engine.run_batched(stream, batch_size=batch_size)
-            assert match_sig(batched) == match_sig(baseline)
-            assert core_metrics(batched_engine) == core_metrics(single)
-
-
-@pytest.mark.parametrize("seed", SEEDS)
-def test_batched_noisy_values_match_single_event(seed):
-    """NaN, missing, unhashable and unorderable attributes must route
-    through probe_batch's degradation paths without diverging."""
-    stream = noisy_stream(seed, count=70)
-    d = decompose(
-        parse_pattern(
-            "PATTERN SEQ(A a, B b, C c) WHERE a.x = b.x AND b.y <= c.y WITHIN 3"
-        )
-    )
-    tree = next(iter(enumerate_bushy_trees(d.positive_variables)))
-    order = next(iter(enumerate_orders(d.positive_variables)))
-    for build in (
-        lambda: TreeEngine(d, tree, indexed=True, compiled=True),
-        lambda: NFAEngine(d, order, indexed=True, compiled=True),
-    ):
-        single = build()
-        baseline = single.run(stream)
-        for batch_size in (5, 37):
-            batched_engine = build()
-            batched = batched_engine.run_batched(stream, batch_size=batch_size)
-            assert match_sig(batched) == match_sig(baseline)
-            assert core_metrics(batched_engine) == core_metrics(single)
-
-
-@pytest.mark.parametrize("seed", SEEDS)
-def test_batched_multiquery_matches_single_event(seed):
-    stream = rand_stream(seed, count=70)
-    workload = Workload(
-        [
-            "PATTERN SEQ(A a, B b, C c) WHERE a.x = b.x WITHIN 4",
-            "PATTERN SEQ(A a, B b, D d) WHERE a.x = b.x AND b.x = d.x WITHIN 4",
-            "PATTERN SEQ(A a, C c) WHERE a.x = c.x AND a.y < c.y WITHIN 3",
-        ]
-    )
-    catalogs = {
-        name: estimate_pattern_catalog(pattern, stream)
-        for name, pattern in workload.items()
-    }
-    plan = plan_workload(workload, catalogs, algorithm="GREEDY")
-    for codegen in (True, False):
-        single = MultiQueryEngine(plan, indexed=True, codegen=codegen)
-        baseline = single.run(stream)
-        for batch_size in (1, 4, 50):
-            batched_engine = MultiQueryEngine(
-                plan, indexed=True, codegen=codegen
-            )
-            batched = batched_engine.run_batched(stream, batch_size=batch_size)
-            assert set(batched) == set(baseline)
-            for query in baseline:
-                assert match_sig(batched[query]) == match_sig(baseline[query]), (
-                    f"{query} diverges (batch={batch_size}, codegen={codegen})"
-                )
-            assert core_metrics(batched_engine) == core_metrics(single)
-
-
-@pytest.mark.parametrize("seed", SEEDS)
-def test_batched_traced_runs_fall_back_identically(seed):
-    """A tracer forces the per-event path: batched+traced runs must
-    reproduce the traced observation sequence exactly."""
-    from repro.observe import Tracer
-
-    stream = rand_stream(seed)
-    d = decompose(
-        parse_pattern("PATTERN SEQ(A a, B b, C c) WHERE a.x = b.x WITHIN 4")
-    )
-    tree = next(iter(enumerate_bushy_trees(d.positive_variables)))
-    single = TreeEngine(d, tree, indexed=True, compiled=True)
-    tracer_a = Tracer()
-    single.set_tracer(tracer_a)
-    baseline = single.run(stream)
-    batched_engine = TreeEngine(d, tree, indexed=True, compiled=True)
-    tracer_b = Tracer()
-    batched_engine.set_tracer(tracer_b)
-    batched = batched_engine.run_batched(stream, batch_size=16)
-    assert match_sig(batched) == match_sig(baseline)
-    assert [
-        (n.node_id, n.kind, n.events, n.created, n.probed, n.matches)
-        for n in tracer_a.nodes
-    ] == [
-        (n.node_id, n.kind, n.events, n.created, n.probed, n.matches)
-        for n in tracer_b.nodes
-    ]
