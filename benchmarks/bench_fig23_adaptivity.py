@@ -26,11 +26,10 @@ Four configurations over the identical stream:
   matches die with every switch;
 * ``adaptive-recompute`` — replanning + recompute-from-buffer
   migration;
-* ``adaptive-parallel-drain`` — replanning + one-window old/new
-  overlap with canonical-key dedup.
+* ``adaptive-recompute-gated`` — the same with replan hysteresis.
 
 Acceptance (asserted in-bench, mirroring
-``tests/test_adaptive_migration.py``): both migration policies produce
+``tests/test_adaptive_migration.py``): stateful migration produces
 the *byte-identical* canonical match list of the static run — zero
 matches lost — and (full mode) adaptive-recompute throughput is >= the
 static plan's on this stream while ``adaptive-restart`` demonstrably
@@ -175,7 +174,6 @@ CONFIGS = (
     ("adaptive-restart", run_adaptive, "restart", 0.0),
     ("adaptive-recompute", run_adaptive, "recompute", 0.0),
     ("adaptive-recompute-gated", run_adaptive, "recompute", 0.1),
-    ("adaptive-parallel-drain", run_adaptive, "parallel-drain", 0.0),
 )
 
 
@@ -238,11 +236,7 @@ def test_fig23_adaptivity(benchmark, env: BenchEnv):
 
     # Acceptance: stateful migration is lossless — byte-identical
     # canonical match lists, in smoke and full mode alike.
-    for label in (
-        "adaptive-recompute",
-        "adaptive-recompute-gated",
-        "adaptive-parallel-drain",
-    ):
+    for label in ("adaptive-recompute", "adaptive-recompute-gated"):
         assert results[label][1] == static_records, (
             f"{label} diverged from the no-switch run"
         )
@@ -264,10 +258,7 @@ def test_fig23_adaptivity(benchmark, env: BenchEnv):
         # The drift must actually fire, restart must demonstrably lose
         # in-flight matches, and migration must not cost throughput
         # relative to the stale static plan.
-        for label in (
-            "adaptive-restart", "adaptive-recompute",
-            "adaptive-parallel-drain",
-        ):
+        for label in ("adaptive-restart", "adaptive-recompute"):
             assert results[label][2].reoptimizations >= 1, label
         assert len(results["adaptive-restart"][1]) < len(static_records)
         # Hysteresis: the gated controller must keep adapting while

@@ -58,6 +58,7 @@ SMOKE_RATIO_TOLERANCE = 0.5
 #: Record fields that identify *which* run a record measures (never
 #: measured quantities) — present ones form the pairing key.
 IDENTITY_FIELDS = (
+    "config",
     "mode",
     "family",
     "runtime",

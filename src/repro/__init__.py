@@ -111,8 +111,8 @@ dropping it::
     matches = controller.run(stream)     # lossless across plan switches
     controller.metrics.migrations        # swap + handover counters
 
-The migration policies (``restart`` / ``recompute`` /
-``parallel-drain``) and their guarantees are documented in
+The migration policies (``restart`` / ``recompute``) and their
+guarantees are documented in
 :mod:`repro.adaptive.controller`; the drifting-stream benchmark is
 ``benchmarks/bench_fig23_adaptivity.py``.
 """

@@ -26,21 +26,12 @@ Plan switching is governed by the ``migration`` policy:
     event.  Matches re-derived during the replay are suppressed as
     already reported; the switched run's match list is exactly the
     no-switch list.
-``"parallel-drain"``
-    Old and new engines run side by side for one window after the swap.
-    The new engine starts empty except for its negation candidate
-    buffers (seeded from the snapshot — a negation range reaches up to
-    one window into the past); output is the canonical-key-deduplicated
-    union of both engines, and the old engine retires once every match
-    it could still own has left the window.  Exact like ``recompute``,
-    trading the replay burst for one window of doubled processing.
 
-``recompute`` and ``parallel-drain`` require ``selection="any"`` — the
-restrictive strategies consume events globally, and a replayed or
-overlapped run cannot reproduce consumption decisions made against
-events that have left the window.
+``recompute`` requires ``selection="any"`` — the restrictive strategies
+consume events globally, and a replayed run cannot reproduce
+consumption decisions made against events that have left the window.
 
-Both stateful policies follow the state-handover designs of Dossinger &
+Stateful migration follows the state-handover designs of Dossinger &
 Michel ("Optimizing Multiple Multi-Way Stream Joins", adaptive
 re-optimization with migration) and Idris et al. ("Conjunctive Queries
 with Theta Joins Under Updates", incremental state maintenance across
@@ -64,14 +55,14 @@ from ..optimizers.planner import (
     total_cost,
 )
 from ..optimizers.registry import make_optimizer
-from ..parallel.ordering import content_key, match_min_seq
+from ..parallel.ordering import match_min_seq
 from ..patterns.pattern import Pattern
 from ..stats.catalog import StatisticsCatalog
 from ..stats.online import SelectivityTracker, SlidingRateEstimator
 from .monitor import DriftDetector
 
 #: Plan-switch state handover policies (module docstring).
-MIGRATION_POLICIES = ("restart", "recompute", "parallel-drain")
+MIGRATION_POLICIES = ("restart", "recompute")
 
 
 class AdaptiveController:
@@ -150,14 +141,6 @@ class AdaptiveController:
         # plus the controller-owned migration counters.
         self._retired = EngineMetrics()
         self._migration_metrics = EngineMetrics()
-        # parallel-drain state: the outgoing engine, the stream time at
-        # which it retires, the canonical keys emitted so far, and the
-        # last pre-swap sequence number (the ownership test — a match
-        # binding a pre-swap event exists only in the outgoing engine).
-        self._old_engine = None
-        self._drain_deadline = float("-inf")
-        self._drain_seen: Optional[set] = None
-        self._drain_boundary_seq = -1
         # matches_saved_by_migration accounting: matches emitted while
         # (boundary_seq, until_ts) is armed that bind a pre-swap event.
         self._saved_boundary: Optional[tuple] = None
@@ -204,29 +187,16 @@ class AdaptiveController:
         return [item.plan for item in self.planned]
 
     @property
-    def draining(self) -> bool:
-        """True while a parallel-drain handover is in progress."""
-        return self._old_engine is not None
-
-    @property
     def metrics(self) -> EngineMetrics:
         """Aggregated metrics: retired generations + live engine(s) +
         the controller's migration counters.
 
         Generations are merged sequentially (peaks take the max, event
         counts add — each generation processed its own stream segment).
-        During a parallel-drain the outgoing engine is included too, so
-        the one-window double processing shows up honestly.
         """
         merged = self._retired.merge(
             self.engine.metrics, disjoint_streams=True, concurrent=False
         )
-        if self._old_engine is not None:
-            merged = merged.merge(
-                self._old_engine.metrics,
-                disjoint_streams=True,
-                concurrent=False,
-            )
         return merged.merge(
             self._migration_metrics, disjoint_streams=True, concurrent=False
         )
@@ -238,38 +208,13 @@ class AdaptiveController:
         if event.seq > self._last_seq:
             self._last_seq = event.seq
         self._now = event.timestamp
-        matches: list[Match] = []
-        if self._old_engine is not None and (
-            event.timestamp > self._drain_deadline
-        ):
-            # Retiring the outgoing engine releases its pendings first:
-            # a deferred match with a pre-swap constituent exists only
-            # there (and is necessarily due — its deadline is at most
-            # swap + W < now), so it is emitted now.  Pendings binding
-            # only post-swap events live on in the new engine, which
-            # releases them at their own deadlines — emitting them here
-            # too would duplicate them, so they are dropped.
-            released = self._drain_filter(self._old_engine.finalize())
-            matches.extend(
-                m
-                for m in released
-                if match_min_seq(m) <= self._drain_boundary_seq
-            )
-            self._finish_drain()
-        if self._old_engine is not None:
-            matches.extend(self._drain_filter(self._old_engine.process(event)))
-            matches.extend(self._drain_filter(self.engine.process(event)))
-        else:
-            matches.extend(self.engine.process(event))
+        matches = self.engine.process(event)
         self._note_saved(matches)
         if self._saved_boundary is not None and (
             event.timestamp > self._saved_boundary[1]
         ):
             self._saved_boundary = None
-        if (
-            self._old_engine is None
-            and self._events_since_check >= self.check_interval
-        ):
+        if self._events_since_check >= self.check_interval:
             self._events_since_check = 0
             matches.extend(self._maybe_reoptimize())
         return matches
@@ -282,17 +227,8 @@ class AdaptiveController:
         return matches
 
     def finalize(self) -> list[Match]:
-        """End-of-stream: release pending matches of every live engine
-        (deduplicated when a drain is still in progress)."""
-        matches: list[Match] = []
-        if self._old_engine is not None:
-            matches.extend(
-                self._drain_filter(self._old_engine.finalize())
-            )
-            matches.extend(self._drain_filter(self.engine.finalize()))
-            self._finish_drain()
-        else:
-            matches.extend(self.engine.finalize())
+        """End-of-stream: release the live engine's pending matches."""
+        matches = self.engine.finalize()
         self._note_saved(matches)
         return matches
 
@@ -369,25 +305,12 @@ class AdaptiveController:
 
         ``catalog`` replaces the controller's statistics first;
         ``algorithm`` overrides the plan generator for this switch only.
-        A forced switch during a parallel-drain abandons the half-built
-        replacement engine and switches from the *outgoing* engine
-        instead — it alone holds the complete window history (the
-        replacement started empty at the previous swap), so exactness
-        is preserved.  Returns the matches the swap itself released.
+        Returns the matches the swap itself released.
         """
-        matches: list[Match] = []
-        if self._old_engine is not None:
-            self._retire(self.engine)  # half-built replacement's cost
-            self.engine = self._old_engine
-            self._old_engine = None
-            self._drain_seen = None
-            self._drain_deadline = float("-inf")
-            self._drain_boundary_seq = -1
         if catalog is not None:
             self._catalog = catalog
         self.reoptimizations += 1
-        matches.extend(self._switch_plan(algorithm=algorithm))
-        return matches
+        return self._switch_plan(algorithm=algorithm)
 
     def _switch_plan(
         self,
@@ -412,20 +335,11 @@ class AdaptiveController:
             )
             self.engine = self._build(planned)
             self._retire(old_engine)
-        elif self.migration == "recompute":
+        else:  # recompute
             snapshot = old_engine.export_state()
             pm_migrated = snapshot_pm_count(snapshot)
             self.engine = self._build(planned, seed=snapshot)
             self._retire(old_engine)
-        else:  # parallel-drain
-            snapshot = old_engine.export_state()
-            pm_migrated = snapshot_pm_count(snapshot)
-            self.engine = self._build(planned)
-            self.engine.seed_negation_state(snapshot)
-            self._old_engine = old_engine
-            self._drain_deadline = self._now + self.pattern.window
-            self._drain_seen = set()
-            self._drain_boundary_seq = self._last_seq
         self._migration_metrics.migrations += 1
         self._migration_metrics.pm_migrated += pm_migrated
         if self._tracer is not None:
@@ -444,29 +358,7 @@ class AdaptiveController:
         self.plan_history.append(planned)
         return released
 
-    # -- drain plumbing -----------------------------------------------------
-    def _drain_filter(self, matches: list[Match]) -> list[Match]:
-        """Keep matches not yet emitted by the other engine (canonical
-        binding key + deterministic detection timestamp)."""
-        fresh: list[Match] = []
-        seen = self._drain_seen
-        for match in matches:
-            key = (match.pattern_name, content_key(match), match.detection_ts)
-            if key in seen:
-                continue
-            seen.add(key)
-            fresh.append(match)
-        return fresh
-
-    def _finish_drain(self) -> None:
-        # The outgoing engine's remaining state is owned by the new
-        # engine from here on; retiring it only folds its metrics in.
-        self._retire(self._old_engine)
-        self._old_engine = None
-        self._drain_seen = None
-        self._drain_deadline = float("-inf")
-        self._drain_boundary_seq = -1
-
+    # -- accounting ---------------------------------------------------------
     def _retire(self, engine) -> None:
         self._retired = self._retired.merge(
             engine.metrics, disjoint_streams=True, concurrent=False

@@ -3,10 +3,10 @@
 :class:`BaseEngine` implements everything that is identical between the
 order-based (lazy NFA) and tree-based (ZStream-style) runtimes:
 
-* per-variable windowed buffers with unary-filter admission;
 * predicate checking with instrumentation;
 * negation handling — incremental bounded checks plus the *pending* set
-  for ranges extending into the future (Section 5.3);
+  for ranges extending into the future (Section 5.3), both owned by the
+  :class:`~repro.engines.negation.NegationChecker`;
 * event selection strategies (Section 6.2): ``any`` (skip-till-any-match,
   the default), ``next`` (skip-till-next-match, with event consumption),
   ``strict`` / ``partition`` (contiguity — consumption semantics of
@@ -36,13 +36,11 @@ from typing import Deque, Iterator, Optional
 
 from ..errors import EngineError
 from ..events import Event, Stream
-from ..patterns.compile import compile_event_kernel
 from ..patterns.predicates import Adjacent, Predicate, TimestampOrder
 from ..patterns.transformations import DecomposedPattern
-from .buffers import VariableBuffer
 from .matches import Match, PartialMatch
 from .metrics import EngineMetrics
-from .negation import NegationChecker, PreparedSpec
+from .negation import NegationChecker
 from .snapshot import EngineSnapshot, describe_partial_match
 
 SELECTION_ANY = "any"
@@ -61,19 +59,6 @@ _SELECTIONS = (
 #: value of None means "compiled, but the predicate list is empty" —
 #: vacuously true with no bindings copy at all.
 INTERPRET = object()
-
-
-class _PendingMatch:
-    """A complete match waiting for a trailing negation range to close."""
-
-    __slots__ = ("pm", "deadline", "specs")
-
-    def __init__(
-        self, pm: PartialMatch, deadline: float, specs: list[PreparedSpec]
-    ) -> None:
-        self.pm = pm
-        self.deadline = deadline
-        self.specs = specs
 
 
 class BaseEngine:
@@ -120,29 +105,11 @@ class BaseEngine:
             v: list(self._conditions.involving(v)) for v, _ in
             decomposed.positives
         }
-        self._buffers: dict[str, VariableBuffer] = {}
-        for variable, type_name in decomposed.positives:
-            unary = tuple(self._conditions.filters_for(variable))
-            unary_filter = None
-            if unary:
-                def unary_filter(event, _preds=unary, _var=variable,
-                                 _engine=self):
-                    for p in _preds:
-                        passed = p.evaluate({_var: event})
-                        if _engine._sel_tracker is not None:
-                            _engine._observe_predicate(p, passed)
-                        if not passed:
-                            return False
-                    return True
-            self._buffers[variable] = VariableBuffer(
-                variable, type_name, unary_filter, metrics=self.metrics
-            )
         self._negation = NegationChecker(
             decomposed.negations,
             decomposed.negation_conditions,
             self.window,
         )
-        self._pending: list[_PendingMatch] = []
         self._consumed: set[int] = set()
         self._now = float("-inf")
         self._event_wall_started = 0.0
@@ -160,6 +127,9 @@ class BaseEngine:
         # implied predicates (SEQ orderings, contiguity) and >2-variable
         # conditions map to nothing and are never observed.
         self._sel_tracker = None
+        # The JoinPath observer: _observe_excluded while a tracker is
+        # attached, None otherwise.
+        self._theta_observer = None
         self._sel_key_by_pred: dict[int, frozenset] = {}
         for predicate in self._conditions:
             if isinstance(predicate, (TimestampOrder, Adjacent)):
@@ -188,12 +158,10 @@ class BaseEngine:
     def finalize(self) -> list[Match]:
         """End-of-stream: release pending matches (no more events can
         violate their trailing negation ranges)."""
-        matches = [
-            self._make_match(entry.pm, entry.deadline)
-            for entry in self._pending
+        return [
+            self._make_match(pm, deadline)
+            for pm, deadline in self._negation.flush()
         ]
-        self._pending.clear()
-        return matches
 
     # -- live plan migration ------------------------------------------------
     def iter_partial_matches(self) -> Iterator[PartialMatch]:
@@ -219,7 +187,7 @@ class BaseEngine:
             ),
             pending=tuple(
                 (describe_partial_match(entry.pm), entry.deadline)
-                for entry in self._pending
+                for entry in self._negation.pending
             ),
         )
 
@@ -252,24 +220,6 @@ class BaseEngine:
         del metrics.wall_latencies[emitted_before:]
         metrics.events_processed = 0
 
-    def seed_negation_state(self, snapshot: EngineSnapshot) -> None:
-        """Pre-load the negation candidate buffers from a snapshot.
-
-        The parallel-drain migration runs the new engine from empty
-        alongside the old one for one window; positive state rebuilds
-        itself from arriving events, but forbidden-event candidates that
-        arrived *before* the swap would be invisible to the new engine —
-        and a negation range can reach up to one window into the past
-        (``[max_ts - W, ...)``), so missing them would emit matches the
-        old engine correctly rejects.  Seeding only the negation buffers
-        closes that hole without any replay.
-        """
-        self._require_fresh("seed_negation_state")
-        if not self._negation.active:
-            return
-        for event in snapshot.events:
-            self._negation.offer(event)
-
     # -- retraction deltas (repro.streams.disorder) --------------------------
     def negation_event_types(self) -> frozenset:
         """Event types any negation spec forbids.
@@ -286,9 +236,9 @@ class BaseEngine:
         """Remove every trace of the event with sequence number ``seq``.
 
         Transitively drops partial matches that bound the event (store
-        tombstones via the consumed-purge hook), evicts it from the
-        variable, window, and negation candidate buffers, and kills
-        pending matches built on it.  Exact for skip-till-any-match
+        tombstones and variable buffers via the consumed-purge hook),
+        evicts it from the window and negation candidate buffers, and
+        kills pending matches built on it.  Exact for skip-till-any-match
         runs whose retracted event is not negation-relevant; the
         disorder layer (:mod:`repro.streams.disorder`) routes every
         other delta through its replay-swap path.  Already-reported
@@ -299,16 +249,8 @@ class BaseEngine:
             self._window_events = deque(
                 e for e in self._window_events if e.seq != seq
             )
-        for buffer in self._buffers.values():
-            buffer.remove_seq(seq)
         self._negation.retract(seq)
         self._purge_consumed(frozenset((seq,)))
-        if self._pending:
-            self._pending = [
-                entry
-                for entry in self._pending
-                if not entry.pm.contains_seq(seq)
-            ]
         self._consumed.discard(seq)
         self.metrics.retractions_processed += 1
 
@@ -364,30 +306,17 @@ class BaseEngine:
         detaching (``None``) restores the observation-free kernels.
         """
         self._sel_tracker = tracker
+        self._theta_observer = (
+            None if tracker is None else self._observe_excluded
+        )
         if self.compiled:
             self._recompile_kernels()
 
     def _recompile_kernels(self) -> None:
-        """(Re)build compiled kernels against the current tracker.
-
-        The base layer owns the per-variable buffer admission filters;
-        engine subclasses extend this with their node/transition
-        kernels.  Called at engine build and on tracker (de)attachment.
-        """
-        for variable, buffer in self._buffers.items():
-            unary = tuple(self._conditions.filters_for(variable))
-            if not unary:
-                continue
-            buffer.set_filter(
-                compile_event_kernel(
-                    unary,
-                    variable,
-                    self.metrics,
-                    tracker=self._sel_tracker,
-                    sel_key_by_pred=self._sel_key_by_pred,
-                    count="none",
-                )
-            )
+        """Engine-specific: (re)build compiled kernels against the
+        current tracker (at engine build and on tracker
+        (de)attachment)."""
+        raise NotImplementedError
 
     def _observe_predicate(self, predicate: Predicate, passed: bool) -> None:
         key = self._sel_key_by_pred.get(id(predicate))
@@ -411,15 +340,10 @@ class BaseEngine:
             observe(key, False)
         self.metrics.selectivity_observations += count
 
-    def _excluded_observer(self, predicate: Predicate):
-        """Callback for the stores' ``on_excluded`` probe hook."""
-        def on_excluded(count: int) -> None:
-            self._observe_excluded(predicate, count)
-        return on_excluded
-
     # -- shared plumbing ----------------------------------------------------
     def _advance_time(self, event: Event) -> list[Match]:
-        """Prune windows and release due pending matches."""
+        """Prune the window buffer and the negation candidates; release
+        due pending matches."""
         self.metrics.events_processed += 1
         self._event_wall_started = time.perf_counter()
         self._now = event.timestamp
@@ -429,43 +353,15 @@ class BaseEngine:
         window_events = self._window_events
         while window_events and window_events[0].timestamp < cutoff:
             window_events.popleft()
-        for buffer in self._buffers.values():
-            buffer.prune(cutoff)
-        self._negation.prune(cutoff)
-        released: list[Match] = []
-        if self._pending:
-            still: list[_PendingMatch] = []
-            for entry in self._pending:
-                if entry.deadline < self._now:
-                    released.append(self._make_match(entry.pm, entry.deadline))
-                else:
-                    still.append(entry)
-            self._pending = still
+        released = []
+        for pm, deadline in self._negation.release(self._now):
+            released.append(self._make_match(pm, deadline))
         return released
 
     def _offer_negations(self, event: Event) -> None:
         """Buffer forbidden-event candidates and kill violated pendings."""
-        if not self._negation.active:
-            return
-        if not self._negation.offer(event):
-            return
-        survivors: list[_PendingMatch] = []
-        for entry in self._pending:
-            dead = any(
-                self._negation.violated(spec, entry.pm, candidate=event)
-                for spec in entry.specs
-            )
-            if not dead:
-                survivors.append(entry)
-        self._pending = survivors
-
-    def _admit(self, event: Event) -> list[str]:
-        """Offer ``event`` to every variable buffer; return admitted vars."""
-        return [
-            variable
-            for variable, buffer in self._buffers.items()
-            if buffer.offer(event)
-        ]
+        if self._negation.active:
+            self._negation.offer(event)
 
     def _check_extension(
         self,
@@ -545,25 +441,8 @@ class BaseEngine:
         the pending set (and returns None) when a trailing negation range
         is still open.
         """
-        for prepared in self._negation.leading_specs():
-            # Leading NOT: the range [max_ts − W, following) is final
-            # only now that the match is complete.
-            if self._negation.violated(prepared, pm):
-                return None
-        trailing = self._negation.trailing_specs()
-        if trailing:
-            open_specs: list[PreparedSpec] = []
-            deadline = float("-inf")
-            for prepared in trailing:
-                if self._negation.violated(prepared, pm):
-                    return None
-                spec_deadline = self._negation.deadline(prepared, pm)
-                if spec_deadline >= self._now:
-                    open_specs.append(prepared)
-                    deadline = max(deadline, spec_deadline)
-            if open_specs:
-                self._pending.append(_PendingMatch(pm, deadline, open_specs))
-                return None
+        if not self._negation.settle(pm, self._now):
+            return None
         return self._make_match(pm, self._now)
 
     def _make_match(self, pm: PartialMatch, detection_ts: float) -> Match:
@@ -590,26 +469,15 @@ class BaseEngine:
         """Mark the match's events consumed and purge structures using them."""
         seqs = pm.event_seqs()
         self._consumed.update(seqs)
-        for buffer in self._buffers.values():
-            for seq in seqs:
-                buffer.remove_seq(seq)
         self._purge_consumed(seqs)
-        if self._pending:
-            self._pending = [
-                entry
-                for entry in self._pending
-                if not (entry.pm.event_seqs() & seqs)
-            ]
+        self._negation.drop(seqs)
 
     def _purge_consumed(self, seqs: frozenset) -> None:
-        """Engine-specific: drop partial matches using consumed events."""
+        """Engine-specific: drop partial matches (and buffered events)
+        using consumed or retracted events."""
         raise NotImplementedError
 
     # -- accounting ----------------------------------------------------------------
-    def _buffered_total(self) -> int:
-        total = sum(len(b) for b in self._buffers.values())
-        return total + self._negation.buffered_events()
-
     @staticmethod
     def _kleene_room(pm: PartialMatch, variable: str, limit: Optional[int]) -> bool:
         if limit is None:

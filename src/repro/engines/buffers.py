@@ -11,9 +11,10 @@ timestamp-ordered) time order, so the buffer gets the indexed-store
 treatment of :mod:`repro.engines.stores` cheaply:
 
 * an optional **hash index** partitions events by an equality-key
-  function (installed by the NFA engine when the plan has ``Attr ==
-  Attr`` predicates between this variable and earlier plan positions),
-  so :meth:`probe` touches one bucket instead of the whole buffer;
+  function — the stored side of an NFA chain transition's
+  :class:`~repro.engines.stores.JoinPath` (see :mod:`repro.engines.stores`
+  for the access path) — so :meth:`probe` touches one bucket instead
+  of the whole buffer;
 * **consumed events are tombstoned** in a seq-set and skipped on
   iteration instead of rebuilding the deque per removal; tombstones are
   drained when pruning reaches them;
@@ -109,21 +110,26 @@ class VariableBuffer:
         self._cutoff = float("-inf")
         self.metrics = metrics
 
-    def set_index(
+    def add_index(
         self,
         key_of: Optional[Callable[[Event], tuple]],
         value_of: Optional[Callable[[Event], object]] = None,
         op: Optional[str] = None,
-    ) -> None:
-        """Install an access path (before any event is offered).
+    ) -> int:
+        """Install the access path (before any event is offered); returns
+        its probe handle — the :class:`~repro.engines.stores.JoinPath`
+        protocol shared with :class:`~repro.engines.stores.PartialMatchStore`.
 
         ``key_of`` hash-partitions on the equality key; ``value_of``/
         ``op`` add a per-bucket value-sorted run for one theta
         predicate (``stored_value op probe_value``).  ``key_of=None``
-        with a range keeps one implicit bucket (pure range index).
+        with a range keeps one implicit bucket (pure range index).  A
+        buffer holds at most one access path.
         """
         if self._events:
             raise ValueError("index must be installed on an empty buffer")
+        if self.indexed:
+            raise ValueError("a variable buffer holds one access path")
         if key_of is None and value_of is None:
             raise ValueError("an index needs a key function, a range, or both")
         if value_of is not None and op not in RANGE_OPS:
@@ -131,6 +137,7 @@ class VariableBuffer:
         self._key_of = key_of
         self._value_of = value_of
         self._range_op = op
+        return 0
 
     def set_filter(self, unary_filter: Optional[Callable[[Event], bool]]) -> None:
         """Replace the admission filter (compiled-kernel installation)."""
@@ -140,8 +147,7 @@ class VariableBuffer:
     def indexed(self) -> bool:
         return self._key_of is not None or self._value_of is not None
 
-    @property
-    def index_exact(self) -> bool:
+    def index_exact(self, handle: int) -> bool:
         """True when every candidate :meth:`probe` yields is bucket-
         guaranteed to satisfy the equality the index encodes (no
         unhashable-key overflow entries); callers must otherwise apply
@@ -266,7 +272,12 @@ class VariableBuffer:
                 yield event
 
     def probe(
-        self, key: tuple, trigger_seq: int, bound=NO_BOUND, on_excluded=None
+        self,
+        handle: int,
+        key: tuple,
+        trigger_seq: int,
+        bound=NO_BOUND,
+        on_excluded=None,
     ) -> Iterator[Event]:
         """Indexed ``events_before``: one bucket instead of the buffer.
 
@@ -291,6 +302,20 @@ class VariableBuffer:
                 metrics.index_misses += 1
             yield from self.events_before(trigger_seq)
             return
+        if bucket is not None:
+            # Buckets drop their expired prefix lazily, here; a bucket
+            # left empty by the trim counts as a miss.
+            events = bucket.events
+            bucket_prefix = 0
+            cutoff = self._cutoff
+            while (
+                bucket_prefix < len(events)
+                and events[bucket_prefix].timestamp < cutoff
+            ):
+                bucket_prefix += 1
+            if bucket_prefix:
+                del events[:bucket_prefix]
+                self._indexed_total -= bucket_prefix
         if metrics is not None and self._key_of is not None:
             metrics.index_probes += 1
             if bucket is not None and bucket.events:
@@ -318,16 +343,6 @@ class VariableBuffer:
         candidates = ()
         if bucket is not None:
             events = bucket.events
-            bucket_prefix = 0
-            cutoff = self._cutoff
-            while (
-                bucket_prefix < len(events)
-                and events[bucket_prefix].timestamp < cutoff
-            ):
-                bucket_prefix += 1
-            if bucket_prefix:
-                del events[:bucket_prefix]
-                self._indexed_total -= bucket_prefix
             candidates = events[: _seq_boundary(events, trigger_seq)]
         if self._overflow:
             # Rare path: merge with the unhashable-key overflow in seq

@@ -275,18 +275,6 @@ class DisjunctionEngine:
         for engine, snapshot in zip(self.engines, snapshots):
             engine.seed_from(snapshot)
 
-    def seed_negation_state(
-        self, snapshots: Sequence[EngineSnapshot]
-    ) -> None:
-        snapshots = list(snapshots)
-        if len(snapshots) != len(self.engines):
-            raise EngineError(
-                f"{len(snapshots)} snapshots for {len(self.engines)} "
-                "disjunct engines"
-            )
-        for engine, snapshot in zip(self.engines, snapshots):
-            engine.seed_negation_state(snapshot)
-
     def set_selectivity_tracker(self, tracker) -> None:
         for engine in self.engines:
             engine.set_selectivity_tracker(tracker)

@@ -223,9 +223,8 @@ INSTRUMENTS: Tuple[Instrument, ...] = (
         "in-flight partial matches preserved across plan switches",
         "adaptive runtime only: in-flight partial\n"
         "matches (live + pending) preserved across plan\n"
-        "switches by a stateful migration policy\n"
-        "(``recompute`` replay or ``parallel-drain``\n"
-        "overlap); 0 under ``restart``",
+        "switches by ``recompute`` replay; 0 under\n"
+        "``restart``",
     ),
     Instrument(
         "matches_saved_by_migration", "counter",

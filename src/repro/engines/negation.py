@@ -6,7 +6,9 @@ positive events it depends on are already received".  For a timestamp-
 ordered stream this check is exact as soon as the temporal range in which
 the forbidden event could occur lies in the past; ranges extending into
 the future (trailing negation, and negation under AND) delay the match in
-a *pending* set until the range closes (see DESIGN.md).
+a *pending* set until the range closes (see DESIGN.md).  The pending set
+lives here, in :class:`NegationChecker`, so the single-query engines and
+every query of a shared multi-query DAG run one implementation of it.
 
 The admissible range of a forbidden event for a partial match ``pm``:
 
@@ -82,8 +84,22 @@ def _binding_ts_min(pm: PartialMatch, variable: str) -> float:
     return value.timestamp
 
 
+class _Pending:
+    """A complete match waiting for a trailing negation range to close."""
+
+    __slots__ = ("pm", "deadline", "specs")
+
+    def __init__(
+        self, pm: PartialMatch, deadline: float, specs: list[PreparedSpec]
+    ) -> None:
+        self.pm = pm
+        self.deadline = deadline
+        self.specs = specs
+
+
 class NegationChecker:
-    """Buffers forbidden-event candidates and evaluates negation specs."""
+    """Buffers forbidden-event candidates, evaluates negation specs, and
+    holds the matches pending on trailing ranges."""
 
     def __init__(
         self,
@@ -104,6 +120,12 @@ class NegationChecker:
             self._buffers[spec.variable] = VariableBuffer(
                 spec.variable, spec.event_type, unary_filter
             )
+        self._leading = [
+            p for p in self.prepared if not p.trailing and not p.spec.preceding
+        ]
+        self._trailing = [p for p in self.prepared if p.trailing]
+        #: Complete matches deferred until their trailing ranges close.
+        self.pending: list[_Pending] = []
 
     @property
     def active(self) -> bool:
@@ -114,18 +136,59 @@ class NegationChecker:
 
     # -- stream plumbing -----------------------------------------------------
     def offer(self, event: Event) -> bool:
-        """Buffer a potential forbidden event; True when admitted anywhere."""
+        """Buffer a potential forbidden event and kill the pending matches
+        it violates; True when admitted anywhere."""
         admitted = False
         for buffer in self._buffers.values():
             admitted |= buffer.offer(event)
+        if admitted and self.pending:
+            self.pending = [
+                entry
+                for entry in self.pending
+                if not any(
+                    self.violated(spec, entry.pm, candidate=event)
+                    for spec in entry.specs
+                )
+            ]
         return admitted
 
-    def prune(self, cutoff_ts: float) -> None:
+    def release(self, now: float) -> list[tuple[PartialMatch, float]]:
+        """Advance to stream time ``now``: prune candidates out of the
+        window and pop the pending matches whose ranges closed, as
+        ``(pm, deadline)`` pairs in pending order."""
+        cutoff = now - self.window
         for buffer in self._buffers.values():
-            buffer.prune(cutoff_ts)
+            buffer.prune(cutoff)
+        if not self.pending:
+            return []
+        released: list[tuple[PartialMatch, float]] = []
+        still: list[_Pending] = []
+        for entry in self.pending:
+            if entry.deadline < now:
+                released.append((entry.pm, entry.deadline))
+            else:
+                still.append(entry)
+        self.pending = still
+        return released
+
+    def flush(self) -> list[tuple[PartialMatch, float]]:
+        """End of stream: every pending range closes; pop them all."""
+        released = [(entry.pm, entry.deadline) for entry in self.pending]
+        self.pending = []
+        return released
+
+    def drop(self, seqs: frozenset) -> None:
+        """Kill the pending matches binding any of ``seqs``."""
+        if self.pending:
+            self.pending = [
+                entry
+                for entry in self.pending
+                if not (entry.pm.event_seqs() & seqs)
+            ]
 
     def retract(self, seq: int) -> None:
-        """Drop a retracted forbidden-event candidate everywhere.
+        """Drop a retracted event everywhere: from the candidate buffers
+        and from every pending match built on it.
 
         Removal alone cannot resurrect matches the candidate already
         suppressed — the engines rejected those at completion time — so
@@ -135,6 +198,7 @@ class NegationChecker:
         """
         for buffer in self._buffers.values():
             buffer.remove_seq(seq)
+        self.drop(frozenset((seq,)))
 
     # -- checks -------------------------------------------------------------------
     def specs_checkable_with(self, bound: frozenset) -> list[PreparedSpec]:
@@ -145,7 +209,7 @@ class NegationChecker:
         ``max_ts − W`` of the *complete* match, so checking them against
         a partial match would use a too-early left bound and reject
         matches the reference semantics admit (leading NOT under SEQ).
-        They are checked by :func:`leading_specs` at completion instead.
+        They are checked by :meth:`settle` at completion instead.
         """
         return [
             p
@@ -154,21 +218,46 @@ class NegationChecker:
         ]
 
     def leading_specs(self) -> list[PreparedSpec]:
-        """Bounded specs with no ``preceding`` bound (leading NOT).
+        """Bounded specs with no ``preceding`` bound (leading NOT),
+        checked by :meth:`settle`."""
+        return self._leading
 
-        Their forbidden range ``[max_ts − W, min following)`` is only
-        final once the whole match is bound; the engines evaluate them
-        in ``_complete``.  The range's future edge is a binding
-        timestamp, so — unlike trailing specs — no pending is needed.
+    def settle(
+        self, pm: PartialMatch, now: float, bounded: bool = False
+    ) -> bool:
+        """Completion-time negation for a match binding every positive
+        variable: True when it can be emitted now, False when a spec
+        rejects it or it was pended until its trailing ranges close.
+
+        Leading specs (no ``preceding`` bound) are checked here: their
+        range ``[max_ts − W, min following)`` is final only once the
+        whole match is bound, and its future edge is a binding
+        timestamp, so no pending is needed.  ``bounded`` also checks
+        the bounded specs — for runtimes that defer them to the root
+        (the shared DAG) instead of the lowest covering node.
         """
-        return [
-            p
-            for p in self.prepared
-            if not p.trailing and not p.spec.preceding
-        ]
-
-    def trailing_specs(self) -> list[PreparedSpec]:
-        return [p for p in self.prepared if p.trailing]
+        if not self.prepared:
+            return True
+        if bounded:
+            for prepared in self.specs_checkable_with(frozenset(pm.bindings)):
+                if self.violated(prepared, pm):
+                    return False
+        for prepared in self._leading:
+            if self.violated(prepared, pm):
+                return False
+        open_specs: list[PreparedSpec] = []
+        deadline = float("-inf")
+        for prepared in self._trailing:
+            if self.violated(prepared, pm):
+                return False
+            spec_deadline = self.deadline(prepared, pm)
+            if spec_deadline >= now:
+                open_specs.append(prepared)
+                deadline = max(deadline, spec_deadline)
+        if open_specs:
+            self.pending.append(_Pending(pm, deadline, open_specs))
+            return False
+        return True
 
     def violated(
         self,

@@ -20,10 +20,12 @@ consumed.
 
 Each chain transition is a two-sided join between a state's instance
 store (a :class:`~repro.engines.stores.PartialMatchStore`) and the next
-variable's buffer: when the transition carries ``Attr == Attr``
-predicates, both sides are hash-partitioned at build time, so arrival
-probes and ``events_before`` scans touch one bucket instead of the
-whole store, and window expiry of the states is watermark-gated.
+variable's :class:`~repro.engines.buffers.VariableBuffer` (the NFA alone
+buffers events per variable; the tree's leaf stores are its buffers).
+An arriving event probes the state and a new instance probes the
+buffer, each through its side's
+:class:`~repro.engines.stores.JoinPath` — the access path shared by all
+runtimes and described in :mod:`repro.engines.stores`.
 """
 
 from __future__ import annotations
@@ -31,24 +33,13 @@ from __future__ import annotations
 from typing import Optional
 
 from ..events import Event
-from ..patterns.compile import compile_extension_kernel
+from ..patterns.compile import compile_event_kernel, compile_extension_kernel
 from ..patterns.transformations import DecomposedPattern
 from ..plans.order_plan import OrderPlan
 from .base import INTERPRET, SELECTION_ANY, BaseEngine
 from .matches import Match, PartialMatch
-from .stores import (
-    EMPTY_RANGE,
-    NO_BOUND,
-    PartialMatchStore,
-    equality_key_pairs,
-    make_event_key_fn,
-    make_event_value_fn,
-    make_key_fn,
-    make_value_fn,
-    probe_key,
-    range_key_pairs,
-    range_probe_value,
-)
+from .buffers import VariableBuffer
+from .stores import JoinPath, PartialMatchStore, join_paths
 
 
 class NFAEngine(BaseEngine):
@@ -89,68 +80,52 @@ class NFAEngine(BaseEngine):
         self._absorbing_accept = (
             self._order[-1] in self._kleene
         )
-        # Access paths (see repro.engines.stores): the chain transition
-        # into position p is a two-sided join between state p (instances
-        # binding order[0..p-1]) and the buffer of order[p].  Each side
-        # gets a hash index keyed on its half of the Attr == Attr
-        # predicates, composed with a value-sorted run for the first
-        # Attr </<=/>/>= Attr cross-predicate; the other side supplies
-        # the probe key and the theta bound.
-        # -> (id, ev_key, ev_val, range_pred)
-        self._state_probe: dict[int, tuple] = {}
-        # -> (pm_key, pm_val, range_pred)
-        self._buffer_probe: dict[str, tuple] = {}
-        # Per-position trace counters (repro.observe); None = no tracer.
-        self._tstats = None
-        # Per variable: predicates minus the equalities its transition's
-        # hash bucket already guarantees (used on indexed candidates).
-        self._residual_preds: dict[str, list] = {}
+        # Per-variable windowed buffers with unary-filter admission.
+        self._buffers: dict[str, VariableBuffer] = {}
+        for variable, type_name in decomposed.positives:
+            unary = tuple(self._conditions.filters_for(variable))
+            unary_filter = None
+            if unary:
+                def unary_filter(event, _preds=unary, _var=variable,
+                                 _engine=self):
+                    for p in _preds:
+                        passed = p.evaluate({_var: event})
+                        if _engine._sel_tracker is not None:
+                            _engine._observe_predicate(p, passed)
+                        if not passed:
+                            return False
+                    return True
+            self._buffers[variable] = VariableBuffer(
+                variable, type_name, unary_filter, metrics=self.metrics
+            )
+        # Access paths (repro.engines.stores): the chain transition into
+        # position p joins state p (instances binding order[:p]) with the
+        # buffer of order[p] — new instances probe the buffer, arriving
+        # events probe the state.  _residual_preds[p] is order[p]'s
+        # predicate list minus the equalities the buckets guarantee.
+        self._buffer_paths: dict[int, JoinPath] = {}
+        self._state_paths: dict[int, JoinPath] = {}
+        self._residual_preds: dict[int, list] = {}
         if indexed:
             for position in range(1, self._n):
                 variable = self._order[position]
-                prior_spec, event_spec, extracted = equality_key_pairs(
-                    self._conditions,
+                paths = join_paths(
+                    self._preds_by_var[variable],
                     self._order[:position],
                     (variable,),
                     self._kleene,
+                    self._states[position],
+                    self._buffers[variable],
+                    right_events=True,
                 )
-                range_spec = range_key_pairs(
-                    self._conditions,
-                    self._order[:position],
-                    (variable,),
-                    self._kleene,
-                )
-                if not prior_spec and range_spec is None:
-                    continue
-                pm_key = make_key_fn(prior_spec, self._kleene)  # None without equalities
-                ev_key = make_event_key_fn(event_spec)
-                pm_val = ev_val = None
-                state_op = buffer_op = None
-                range_pred = None
-                if range_spec is not None:
-                    prior_item, state_op, event_item, buffer_op, range_pred = (
-                        range_spec
-                    )
-                    pm_val = make_value_fn(prior_item)
-                    ev_val = make_event_value_fn(event_item)
-                index_id = self._states[position].add_index(
-                    pm_key, value_of=pm_val, op=state_op
-                )
-                self._state_probe[position] = (
-                    index_id, ev_key, ev_val, range_pred
-                )
-                self._buffers[variable].set_index(
-                    ev_key,
-                    value_of=ev_val,
-                    op=buffer_op,
-                )
-                self._buffer_probe[variable] = (pm_key, pm_val, range_pred)
-                skip = set(map(id, extracted))
-                self._residual_preds[variable] = [
-                    p
-                    for p in self._preds_by_var[variable]
-                    if id(p) not in skip
-                ]
+                if paths is not None:
+                    (
+                        self._buffer_paths[position],
+                        self._state_paths[position],
+                        self._residual_preds[position],
+                    ) = paths
+        # Per-position trace counters (repro.observe); None = no tracer.
+        self._tstats = None
         # Compiled per-position extension kernels (repro.patterns.compile):
         # _ext_full[p] checks binding order[p] onto an instance holding
         # order[:p] (also the absorption kernel of that position);
@@ -169,7 +144,19 @@ class NFAEngine(BaseEngine):
         absorption kernel for a Kleene variable at that position (the
         new element is checked as a scalar either way).
         """
-        super()._recompile_kernels()
+        for variable, buffer in self._buffers.items():
+            unary = tuple(self._conditions.filters_for(variable))
+            if unary:
+                buffer.set_filter(
+                    compile_event_kernel(
+                        unary,
+                        variable,
+                        self.metrics,
+                        tracker=self._sel_tracker,
+                        sel_key_by_pred=self._sel_key_by_pred,
+                        count="none",
+                    )
+                )
         for position in range(self._n):
             variable = self._order[position]
             bound = set(self._order[: position + 1])
@@ -186,7 +173,7 @@ class NFAEngine(BaseEngine):
                 tracker=self._sel_tracker,
                 sel_key_by_pred=self._sel_key_by_pred,
             )
-            residual = self._residual_preds.get(variable)
+            residual = self._residual_preds.get(position)
             if residual is not None:
                 self._ext_resid[position] = compile_extension_kernel(
                     [p for p in residual if set(p.variables) <= bound],
@@ -239,31 +226,20 @@ class NFAEngine(BaseEngine):
                 stat = tstats[position]
                 stat.events += 1
                 created.extend(
-                    self._traced_arrival(variable, position, event, stat)
+                    stat.timed(
+                        self._tracer.clock,
+                        self.metrics,
+                        self._arrival_extensions,
+                        variable,
+                        position,
+                        event,
+                        stat,
+                    )
                 )
 
         matches.extend(self._cascade(created))
         self._note_state()
         return matches
-
-    def _traced_arrival(
-        self, variable: str, position: int, event: Event, stat
-    ) -> list[tuple[PartialMatch, int]]:
-        """Tracer-attached arrival: wall time and index counter deltas
-        attributed to the arriving variable's chain position."""
-        metrics = self.metrics
-        ip0, ih0 = metrics.index_probes, metrics.index_hits
-        rp0, rh0 = metrics.range_probes, metrics.range_hits
-        started = self._tracer.clock()
-        created = self._arrival_extensions(
-            variable, position, event, stat=stat
-        )
-        stat.wall += self._tracer.clock() - started
-        stat.index_probes += metrics.index_probes - ip0
-        stat.index_hits += metrics.index_hits - ih0
-        stat.range_probes += metrics.range_probes - rp0
-        stat.range_hits += metrics.range_hits - rh0
-        return created
 
     # -- arrival-driven extensions -------------------------------------------------
     def _arrival_extensions(
@@ -286,9 +262,23 @@ class NFAEngine(BaseEngine):
                     self._buffers[variable].remove_seq(event.seq)
         else:
             state = self._states[position]
-            candidates, preds, kernel = self._state_candidates(
-                state, position, event
+            path = self._state_paths.get(position)
+            found = (
+                None
+                if path is None
+                else path.candidates(
+                    state, event, event.seq, self._theta_observer
+                )
             )
+            # Every stored trigger predates the arriving event, so the
+            # scan fallback is the whole state.
+            if found is None:
+                candidates, exact = iter(state), False
+            else:
+                candidates, exact = found
+            # Bucket-guaranteed candidates skip the extracted equalities.
+            preds = self._residual_preds[position] if exact else None
+            kernel = self._kernel_for(position, residual=exact)
             if stat is not None:
                 candidates = list(candidates)
                 stat.probed += len(candidates)
@@ -332,68 +322,6 @@ class NFAEngine(BaseEngine):
                     )
         return created
 
-    def _state_candidates(
-        self, state: PartialMatchStore, position: int, event: Event
-    ):
-        """Instances eligible to take the arriving event, with the
-        predicate list (and compiled kernel) to check them against — one
-        hash bucket, theta-bisected when the transition has an extracted
-        range predicate (checked against the residual predicates only
-        when the bucket guarantees the equalities), the whole state
-        (full predicates) otherwise.  Every stored trigger predates the
-        arriving event, so ``event.seq`` is an inclusive-of-everything
-        bound."""
-        probe = self._state_probe.get(position)
-        if probe is not None:
-            index_id, ev_key, ev_val, range_pred = probe
-            key = () if ev_key is None else probe_key(ev_key, event)
-            if key is not None:
-                bound = NO_BOUND
-                on_excluded = None
-                tracked = (
-                    self._sel_tracker is not None and range_pred is not None
-                )
-                if ev_val is not None:
-                    bound = range_probe_value(ev_val, event)
-                    if bound is EMPTY_RANGE:
-                        # The theta predicate rejects every instance; with
-                        # a tracker attached each eligible one is reported
-                        # as a failed evaluation so the observed theta
-                        # selectivity stays unbiased.
-                        if tracked:
-                            self._observe_excluded(
-                                range_pred,
-                                sum(
-                                    1
-                                    for _ in state.probe(
-                                        index_id, key, event.seq
-                                    )
-                                ),
-                            )
-                        return iter(()), None, self._kernel_for(
-                            position, residual=False
-                        )
-                    if tracked:
-                        on_excluded = self._excluded_observer(range_pred)
-                exact = ev_key is not None and state.index_exact(index_id)
-                preds = (
-                    self._residual_preds[self._order[position]]
-                    if exact
-                    else None  # overflow present / no equality: full
-                )
-                return (
-                    state.probe(
-                        index_id,
-                        key,
-                        event.seq,
-                        bound=bound,
-                        on_excluded=on_excluded,
-                    ),
-                    preds,
-                    self._kernel_for(position, residual=exact),
-                )
-        return iter(state), None, self._kernel_for(position, residual=False)
-
     def _bind(
         self, pm: PartialMatch, variable: str, event: Event
     ) -> PartialMatch:
@@ -407,6 +335,14 @@ class NFAEngine(BaseEngine):
                 max(pm.max_ts, event.timestamp),
             )
         return pm.extended(variable, event)
+
+    def _admit(self, event: Event) -> list[str]:
+        """Offer ``event`` to every variable buffer; return admitted vars."""
+        return [
+            variable
+            for variable, buffer in self._buffers.items()
+            if buffer.offer(event)
+        ]
 
     def _check_first(self, variable: str, event: Event) -> bool:
         """Admission of the plan's first variable (unary filters only —
@@ -452,26 +388,18 @@ class NFAEngine(BaseEngine):
             if tstats is None:
                 queue.extend(self._buffer_extensions(pm, state))
             else:
-                queue.extend(self._traced_buffer_extensions(pm, state))
+                stat = tstats[state]
+                queue.extend(
+                    stat.timed(
+                        self._tracer.clock,
+                        self.metrics,
+                        self._buffer_extensions,
+                        pm,
+                        state,
+                        stat,
+                    )
+                )
         return matches
-
-    def _traced_buffer_extensions(
-        self, pm: PartialMatch, state: int
-    ) -> list[tuple[PartialMatch, int]]:
-        """Tracer-attached buffer scan: wall time and index counter
-        deltas attributed to the position the scan binds."""
-        stat = self._tstats[state]
-        metrics = self.metrics
-        ip0, ih0 = metrics.index_probes, metrics.index_hits
-        rp0, rh0 = metrics.range_probes, metrics.range_hits
-        started = self._tracer.clock()
-        created = self._buffer_extensions(pm, state, stat=stat)
-        stat.wall += self._tracer.clock() - started
-        stat.index_probes += metrics.index_probes - ip0
-        stat.index_hits += metrics.index_hits - ih0
-        stat.range_probes += metrics.range_probes - rp0
-        stat.range_hits += metrics.range_hits - rh0
-        return created
 
     def _buffer_extensions(
         self, pm: PartialMatch, state: int, stat=None
@@ -481,51 +409,20 @@ class NFAEngine(BaseEngine):
         extracted range predicate."""
         variable = self._order[state]
         buffer = self._buffers[variable]
-        candidates = None
-        preds = None
-        kernel = self._kernel_for(state, residual=False)
-        probe = self._buffer_probe.get(variable)
-        if probe is not None:
-            pm_key_of, pm_val_of, range_pred = probe
-            key = (
-                () if pm_key_of is None else probe_key(pm_key_of, pm.bindings)
+        path = self._buffer_paths.get(state)
+        found = (
+            None
+            if path is None
+            else path.candidates(
+                buffer, pm.bindings, pm.trigger_seq, self._theta_observer
             )
-            if key is not None:
-                bound = NO_BOUND
-                on_excluded = None
-                tracked = (
-                    self._sel_tracker is not None and range_pred is not None
-                )
-                if pm_val_of is not None:
-                    bound = range_probe_value(pm_val_of, pm.bindings)
-                    if bound is EMPTY_RANGE:
-                        # The theta predicate rejects every buffered event;
-                        # with a tracker attached each eligible one is
-                        # reported as a failed evaluation so the observed
-                        # theta selectivity stays unbiased.
-                        if tracked:
-                            self._observe_excluded(
-                                range_pred,
-                                sum(
-                                    1
-                                    for _ in buffer.probe(key, pm.trigger_seq)
-                                ),
-                            )
-                        return []
-                    if tracked:
-                        on_excluded = self._excluded_observer(range_pred)
-                candidates = buffer.probe(
-                    key,
-                    pm.trigger_seq,
-                    bound=bound,
-                    on_excluded=on_excluded,
-                )
-                if pm_key_of is not None and buffer.index_exact:
-                    # Bucket-guaranteed: skip the extracted equalities.
-                    preds = self._residual_preds[variable]
-                    kernel = self._kernel_for(state, residual=True)
-        if candidates is None:
-            candidates = buffer.events_before(pm.trigger_seq)
+        )
+        if found is None:
+            candidates, exact = buffer.events_before(pm.trigger_seq), False
+        else:
+            candidates, exact = found
+        preds = self._residual_preds[state] if exact else None
+        kernel = self._kernel_for(state, residual=exact)
         if stat is not None:
             candidates = list(candidates)
             stat.probed += len(candidates)
@@ -582,8 +479,11 @@ class NFAEngine(BaseEngine):
 
     # -- housekeeping ---------------------------------------------------------------
     def _expire_instances(self) -> None:
-        """Watermark-gated: O(1) per state until something can expire."""
+        """Prune the variable buffers; expire states (watermark-gated:
+        O(1) per state until something can expire)."""
         cutoff = self._now - self.window
+        for buffer in self._buffers.values():
+            buffer.prune(cutoff)
         tstats = self._tstats
         if tstats is None:
             for store in self._states.values():
@@ -593,12 +493,19 @@ class NFAEngine(BaseEngine):
                 tstats[state - 1].expired += store.expire(cutoff)
 
     def _purge_consumed(self, seqs: frozenset) -> None:
+        for buffer in self._buffers.values():
+            for seq in seqs:
+                buffer.remove_seq(seq)
         for store in self._states.values():
             store.purge_seqs(seqs)
 
     def _note_state(self) -> None:
-        live = sum(len(v) for v in self._states.values()) + len(self._pending)
-        self.metrics.note_state(live, self._buffered_total())
+        negation = self._negation
+        live = sum(len(v) for v in self._states.values()) + len(
+            negation.pending
+        )
+        buffered = sum(len(b) for b in self._buffers.values())
+        self.metrics.note_state(live, buffered + negation.buffered_events())
 
     # -- introspection ----------------------------------------------------------------
     def live_partial_matches(self) -> int:

@@ -1,15 +1,23 @@
-"""Indexed partial-match stores: the shared storage layer of all runtimes.
+"""Indexed partial-match stores and the join access path of all runtimes.
 
-Every join the engines perform — :meth:`TreeEngine._pairings`, the NFA's
-``events_before`` buffer scans and state probes, and the multi-query
-DAG's shared-node pairings — used to be a nested-loop scan over a plain
-``list[PartialMatch]``, re-filtered and fully rebuilt on every event.
-The paper's cost models (Section 4) count partial matches; on the
-hardware it is the *per-pair* work that caps throughput.  This module
-makes the per-pair work proportional to the candidates that can actually
-merge, following the indexed per-relation delta stores of Idris et al.
+Every join the engines perform — a tree node pairing with its sibling,
+an NFA chain transition (instance store against the next variable's
+event buffer, probed from either side), and a shared DAG node pairing
+along one edge — is the same two-sided join, and it reaches the other
+side through one mechanism: :func:`join_paths` builds a
+:class:`JoinPath` per side once at plan-build time, and
+:meth:`JoinPath.candidates` is the single probe.  The paper's cost
+models (Section 4) count partial matches; on the hardware it is the
+*per-pair* work that caps throughput.  The access path makes the
+per-pair work proportional to the candidates that can actually merge,
+following the indexed per-relation delta stores of Idris et al.
 ("Conjunctive Queries with Theta Joins Under Updates") and Dossinger &
-Michel ("Optimizing Multiple Multi-Way Stream Joins"):
+Michel ("Optimizing Multiple Multi-Way Stream Joins").  Both stored
+sides — :class:`PartialMatchStore` and
+:class:`~repro.engines.buffers.VariableBuffer` — speak one protocol
+(``add_index`` → handle, ``probe(handle, key, trigger_seq, bound=,
+on_excluded=)``, ``index_exact(handle)``), so the path never branches
+on which kind of side it probes:
 
 **Hash partitioning on equality cross-predicates.**  At plan-build time
 :func:`equality_key_pairs` extracts the ``Attr == Attr`` comparisons
@@ -46,6 +54,16 @@ bucket at least half dead filters that one bucket in place.  The sweep
 is what keeps long-lived service sessions flat: a hot key whose
 entries continually expire pays its probe cost on the live entries,
 not on the accumulated history.
+
+**One probe, exact in every corner.**  An unusable probe key (missing
+attribute, unhashable value, NaN) makes :meth:`JoinPath.candidates`
+return None and the caller scans with the full predicate list; a
+missing or NaN theta value is :data:`EMPTY_RANGE` — zero candidates,
+exactly; unhashable overflow entries make the result inexact, so the
+caller evaluates the full predicate list instead of the residual one.
+With a selectivity observer attached, candidates a theta bisect
+excludes are reported as failed evaluations of the extracted predicate
+(each excluded orderable value is exactly one the predicate rejects).
 
 Leaf stores remain the cost-model buffers: a tree leaf contributes
 ``PM(l) = W * r_i`` (Section 4.2), and that accounting is unchanged —
@@ -686,10 +704,10 @@ class PartialMatchStore:
             return
         if metrics is not None and counted:
             metrics.index_probes += 1
-            if bucket is None:
-                metrics.index_misses += 1
-            else:
+            if bucket is not None and len(bucket.pms) > bucket.dead:
                 metrics.index_hits += 1
+            else:
+                metrics.index_misses += 1
         if (
             bucket is not None
             and bucket.dead >= _BUCKET_MIN_DEAD
@@ -862,3 +880,136 @@ class PartialMatchStore:
             f"PartialMatchStore({len(self._ids)} live, "
             f"{len(self._indexes)} indexes, {self._dead} tombstones)"
         )
+
+
+class JoinPath:
+    """One side of a join probing the other side's stored entries.
+
+    ``handle`` is the index registered on the stored side; ``key_of``
+    and ``bound_of`` compute this side's probe key and theta bound from
+    a subject (bindings dict or bare event); ``range_predicate`` is the
+    extracted theta predicate behind ``bound_of`` (selectivity
+    feedback).  Built by :func:`join_paths`.
+    """
+
+    __slots__ = ("handle", "key_of", "bound_of", "range_predicate")
+
+    def __init__(self, handle, key_of, bound_of, range_predicate) -> None:
+        self.handle = handle
+        self.key_of = key_of
+        self.bound_of = bound_of
+        self.range_predicate = range_predicate
+
+    def candidates(self, stored, subject, trigger_seq: int, observe=None):
+        """``(candidates, exact)`` for ``subject`` in ``stored``, or None.
+
+        Candidates have ``trigger_seq`` strictly below the bound.
+        ``exact`` is True when the bucket guarantees the extracted
+        equalities, so the caller may evaluate the residual predicates
+        only.  None means the probe key is unusable (missing, unhashable
+        or NaN): the caller scans with the full predicate list.
+        ``observe(predicate, count)`` receives the eligible entries the
+        theta bound excludes — all of them on :data:`EMPTY_RANGE`.
+        """
+        key_of = self.key_of
+        if key_of is None:
+            key = ()
+        else:
+            key = probe_key(key_of, subject)
+            if key is None:
+                return None
+        bound = NO_BOUND
+        on_excluded = None
+        if self.bound_of is not None:
+            bound = range_probe_value(self.bound_of, subject)
+            if bound is EMPTY_RANGE:
+                if observe is not None:
+                    eligible = stored.probe(self.handle, key, trigger_seq)
+                    observe(self.range_predicate, sum(1 for _ in eligible))
+                return (), True
+            if observe is not None:
+                predicate = self.range_predicate
+
+                def on_excluded(count: int) -> None:
+                    observe(predicate, count)
+
+        candidates = stored.probe(
+            self.handle, key, trigger_seq, bound=bound, on_excluded=on_excluded
+        )
+        exact = key_of is not None and stored.index_exact(self.handle)
+        return candidates, exact
+
+
+def _side_key_fn(spec: KeySpec, kleene, events: bool, rename):
+    if events:
+        return make_event_key_fn(spec)
+    if rename:
+        spec = tuple((rename[v], attr) for v, attr in spec)
+        kleene = frozenset(rename[v] for v in kleene if v in rename)
+    return make_key_fn(spec, kleene)
+
+
+def _side_value_fn(item: Tuple[str, str], events: bool, rename):
+    if events:
+        return make_event_value_fn(item)
+    if rename:
+        item = (rename[item[0]], item[1])
+    return make_value_fn(item)
+
+
+def join_paths(
+    predicates: Iterable[Predicate],
+    left_vars: Iterable[str],
+    right_vars: Iterable[str],
+    kleene: Iterable[str],
+    left_store,
+    right_store,
+    *,
+    left_events: bool = False,
+    right_events: bool = False,
+    left_rename: Optional[dict] = None,
+    right_rename: Optional[dict] = None,
+) -> Optional[Tuple[JoinPath, JoinPath, list]]:
+    """Index both sides of one join; ``(left_path, right_path, residual)``.
+
+    ``left_path`` is the left side probing ``right_store`` (keys from
+    left subjects, index on the right entries), ``right_path`` the
+    mirror.  Both stores are hash-partitioned on the ``Attr == Attr``
+    cross-predicates and, for the first ``< <= > >=`` one, keep
+    value-sorted runs.  ``residual`` is ``predicates`` minus the
+    extracted equalities (the theta predicate stays: the range is a
+    candidate filter only).  ``*_events`` marks a side whose subjects
+    are bare events (an NFA variable buffer); ``*_rename`` maps the
+    predicates' variables to that side's own namespace (a DAG edge).
+    Returns None when the join has neither an equality nor a theta
+    cross-predicate — callers then scan.
+    """
+    predicates = list(predicates)
+    kleene = frozenset(kleene)
+    left_spec, right_spec, extracted = equality_key_pairs(
+        predicates, left_vars, right_vars, kleene
+    )
+    range_spec = range_key_pairs(predicates, left_vars, right_vars, kleene)
+    if not left_spec and range_spec is None:
+        return None
+    left_key = _side_key_fn(left_spec, kleene, left_events, left_rename)
+    right_key = _side_key_fn(right_spec, kleene, right_events, right_rename)
+    left_val = right_val = left_op = right_op = range_predicate = None
+    if range_spec is not None:
+        left_item, left_op, right_item, right_op, range_predicate = range_spec
+        left_val = _side_value_fn(left_item, left_events, left_rename)
+        right_val = _side_value_fn(right_item, right_events, right_rename)
+    left_path = JoinPath(
+        right_store.add_index(right_key, value_of=right_val, op=right_op),
+        left_key,
+        left_val,
+        range_predicate,
+    )
+    right_path = JoinPath(
+        left_store.add_index(left_key, value_of=left_val, op=left_op),
+        right_key,
+        right_val,
+        range_predicate,
+    )
+    skip = set(map(id, extracted))
+    return left_path, right_path, [p for p in predicates if id(p) not in skip]

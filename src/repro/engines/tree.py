@@ -19,12 +19,11 @@ Leaf stores *are* the event buffers here, which matches the tree cost
 model: a leaf contributes ``PM(l) = W·r_i`` (Section 4.2), so leaf
 instances are counted as partial matches rather than as buffered events.
 
-Every node's store is a :class:`~repro.engines.stores.PartialMatchStore`:
-``Attr == Attr`` cross-predicates of a join hash-partition both child
-stores at build time (``_pairings`` probes one bucket instead of
-scanning the sibling), window expiry is watermark-gated with a bisected
-prefix drop, and the strictly-earlier trigger bound is a binary search.
-None of this changes which instances exist — only how they are reached.
+Every node's store is a :class:`~repro.engines.stores.PartialMatchStore`
+and each child reaches its sibling's store through a
+:class:`~repro.engines.stores.JoinPath` — the access path shared by all
+runtimes and described in :mod:`repro.engines.stores`.  None of it
+changes which instances exist — only how they are reached.
 """
 
 from __future__ import annotations
@@ -44,17 +43,7 @@ from ..plans.tree_plan import TreeNode, TreePlan
 from .base import INTERPRET, SELECTION_ANY, BaseEngine
 from .matches import Match, PartialMatch
 from .negation import PreparedSpec
-from .stores import (
-    EMPTY_RANGE,
-    NO_BOUND,
-    PartialMatchStore,
-    equality_key_pairs,
-    make_key_fn,
-    make_value_fn,
-    probe_key,
-    range_key_pairs,
-    range_probe_value,
-)
+from .stores import JoinPath, PartialMatchStore, join_paths
 
 
 class _RuntimeNode:
@@ -71,10 +60,7 @@ class _RuntimeNode:
         "negation_specs",
         "is_leaf",
         "variable",
-        "probe_index",
-        "probe_key_of",
-        "probe_bound_of",
-        "range_predicate",
+        "path",
         "merge_full",
         "merge_resid",
         "absorb_kernel",
@@ -95,17 +81,9 @@ class _RuntimeNode:
         self.negation_specs: list[PreparedSpec] = []
         self.is_leaf = plan_node.is_leaf
         self.variable = plan_node.variable
-        # Access path into sibling.store (see repro.engines.stores):
-        # probe_key_of maps this node's bindings to the probe key,
-        # probe_bound_of to the theta bound; probe_index is the handle
-        # registered on the sibling's store.
-        self.probe_index: Optional[int] = None
-        self.probe_key_of = None
-        self.probe_bound_of = None
-        # The extracted theta predicate behind probe_bound_of, kept so
-        # bisect-excluded candidates can be reported to a selectivity
-        # tracker as failed evaluations of exactly this predicate.
-        self.range_predicate: Optional[Predicate] = None
+        # Access path into sibling.store (repro.engines.stores); None
+        # when the join has no usable key (pairings scan).
+        self.path: Optional[JoinPath] = None
         # Per-node trace counters (repro.observe); None without a tracer.
         self.tstat = None
         # Compiled kernels (repro.patterns.compile), oriented with this
@@ -175,68 +153,22 @@ class TreeEngine(BaseEngine):
                 )
             ]
             if self.indexed:
-                self._index_children(runtime, left, right)
+                paths = join_paths(
+                    runtime.cross_predicates,
+                    left_set,
+                    right_set,
+                    self._kleene,
+                    left.store,
+                    right.store,
+                )
+                if paths is not None:
+                    left.path, right.path, runtime.residual_predicates = paths
         return runtime
-
-    def _index_children(
-        self, runtime: _RuntimeNode, left: _RuntimeNode, right: _RuntimeNode
-    ) -> None:
-        """Index both child stores on the join's equality + theta keys.
-
-        Each child probes its sibling, so the index on the left store is
-        keyed by the left-side attributes and probed with keys computed
-        from right-side bindings — and vice versa.  A ``< <= > >=``
-        cross-predicate additionally sorts each bucket by its side of
-        the comparison, so the probe bisects a value range inside the
-        bucket (or inside the whole store when the join has no
-        equality).  The extracted predicates remain in
-        ``cross_predicates``: the index is only an access path, residual
-        evaluation stays exact.
-        """
-        left_spec, right_spec, extracted = equality_key_pairs(
-            runtime.cross_predicates,
-            left.variables,
-            right.variables,
-            self._kleene,
-        )
-        range_spec = range_key_pairs(
-            runtime.cross_predicates,
-            left.variables,
-            right.variables,
-            self._kleene,
-        )
-        if not left_spec and range_spec is None:
-            return
-        skip = set(map(id, extracted))
-        runtime.residual_predicates = [
-            p for p in runtime.cross_predicates if id(p) not in skip
-        ]
-        left_key = make_key_fn(left_spec, self._kleene)  # None without equalities
-        right_key = make_key_fn(right_spec, self._kleene)
-        left_val = right_val = None
-        left_op = right_op = None
-        if range_spec is not None:
-            left_item, left_op, right_item, right_op, range_pred = range_spec
-            left_val = make_value_fn(left_item)
-            right_val = make_value_fn(right_item)
-            left.range_predicate = range_pred
-            right.range_predicate = range_pred
-        left.probe_index = right.store.add_index(
-            right_key, value_of=right_val, op=right_op
-        )
-        left.probe_key_of = left_key
-        left.probe_bound_of = left_val
-        right.probe_index = left.store.add_index(
-            left_key, value_of=left_val, op=left_op
-        )
-        right.probe_key_of = right_key
-        right.probe_bound_of = right_val
 
     def _recompile_kernels(self) -> None:
         """Fuse per-node predicate lists into compiled kernels: admission
         filters per variable, the join residuals per child orientation,
         and leaf Kleene absorption checks."""
-        super()._recompile_kernels()
         tracker = self._sel_tracker
         common = dict(
             tracker=tracker,
@@ -426,32 +358,21 @@ class TreeEngine(BaseEngine):
                 continue
             node.store.insert(pm)
             if tracing:
-                queue.extend(self._traced_pairings(pm, node))
+                # Pairing work belongs to the parent join node.
+                stat = node.parent.tstat
+                queue.extend(
+                    stat.timed(
+                        self._tracer.clock,
+                        self.metrics,
+                        self._pairings,
+                        pm,
+                        node,
+                        stat,
+                    )
+                )
             else:
                 queue.extend(self._pairings(pm, node))
         return matches
-
-    def _traced_pairings(
-        self, pm: PartialMatch, node: _RuntimeNode
-    ) -> list[tuple[PartialMatch, _RuntimeNode]]:
-        """Tracer-attached :meth:`_pairings`: wall time and the index
-        counter deltas of this pairing are attributed to the parent join
-        node (the node whose combination work it is)."""
-        parent = node.parent
-        if parent is None:
-            return self._pairings(pm, node)
-        stat = parent.tstat
-        metrics = self.metrics
-        ip0, ih0 = metrics.index_probes, metrics.index_hits
-        rp0, rh0 = metrics.range_probes, metrics.range_hits
-        started = self._tracer.clock()
-        created = self._pairings(pm, node, stat=stat)
-        stat.wall += self._tracer.clock() - started
-        stat.index_probes += metrics.index_probes - ip0
-        stat.index_hits += metrics.index_hits - ih0
-        stat.range_probes += metrics.range_probes - rp0
-        stat.range_hits += metrics.range_hits - rh0
-        return created
 
     def _pairings(
         self, pm: PartialMatch, node: _RuntimeNode, stat=None
@@ -466,63 +387,25 @@ class TreeEngine(BaseEngine):
         parent = node.parent
         if sibling is None or parent is None:
             return []
-        candidates = None
-        predicates = parent.cross_predicates
-        kernel = node.merge_full if self.compiled else INTERPRET
-        if node.probe_index is not None:
-            key = (
-                ()
-                if node.probe_key_of is None
-                else probe_key(node.probe_key_of, pm.bindings)
+        store = sibling.store
+        found = (
+            None
+            if node.path is None
+            else node.path.candidates(
+                store, pm.bindings, pm.trigger_seq, self._theta_observer
             )
-            if key is not None:
-                bound = NO_BOUND
-                on_excluded = None
-                if node.probe_bound_of is not None:
-                    bound = range_probe_value(node.probe_bound_of, pm.bindings)
-                    tracked = (
-                        self._sel_tracker is not None
-                        and node.range_predicate is not None
-                    )
-                    if bound is EMPTY_RANGE:
-                        # The theta predicate rejects every sibling
-                        # instance: zero candidates, exactly.  With a
-                        # tracker attached those rejections still count
-                        # as failed theta evaluations, keeping the
-                        # observed selectivity unbiased.
-                        if tracked:
-                            self._observe_excluded(
-                                node.range_predicate,
-                                sum(
-                                    1
-                                    for _ in sibling.store.probe(
-                                        node.probe_index,
-                                        key,
-                                        pm.trigger_seq,
-                                    )
-                                ),
-                            )
-                        return []
-                    if tracked:
-                        on_excluded = self._excluded_observer(
-                            node.range_predicate
-                        )
-                candidates = sibling.store.probe(
-                    node.probe_index,
-                    key,
-                    pm.trigger_seq,
-                    bound=bound,
-                    on_excluded=on_excluded,
-                )
-                if node.probe_key_of is not None and sibling.store.index_exact(
-                    node.probe_index
-                ):
-                    # Bucket-guaranteed: skip the extracted equalities.
-                    predicates = parent.residual_predicates
-                    if self.compiled:
-                        kernel = node.merge_resid
-        if candidates is None:
-            candidates = sibling.store.iter_before(pm.trigger_seq)
+        )
+        if found is None:
+            candidates, exact = store.iter_before(pm.trigger_seq), False
+        else:
+            candidates, exact = found
+        if exact:
+            # Bucket-guaranteed: skip the extracted equalities.
+            predicates, kernel = parent.residual_predicates, node.merge_resid
+        else:
+            predicates, kernel = parent.cross_predicates, node.merge_full
+        if not self.compiled:
+            kernel = INTERPRET
         if stat is not None:
             candidates = list(candidates)
             stat.probed += len(candidates)
@@ -595,8 +478,11 @@ class TreeEngine(BaseEngine):
             node.store.purge_seqs(seqs)
 
     def _note_state(self) -> None:
-        live = sum(len(node.store) for node in self._nodes) + len(self._pending)
-        self.metrics.note_state(live, self._negation.buffered_events())
+        negation = self._negation
+        live = sum(len(node.store) for node in self._nodes) + len(
+            negation.pending
+        )
+        self.metrics.note_state(live, negation.buffered_events())
 
     # -- introspection ----------------------------------------------------------------
     def live_partial_matches(self) -> int:

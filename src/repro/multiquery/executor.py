@@ -14,10 +14,12 @@ eagerly propagated upward — generalized from a tree to a DAG:
   merged symmetric subtrees);
 * query roots convert instances into per-query :class:`Match` objects,
   applying that query's negation specs (bounded checks plus the pending
-  mechanism for trailing ranges) at the root.  Deferring bounded checks
-  from the paper's lowest-covering-node placement to the root is exact:
-  the stream is timestamp-ordered, so no forbidden candidate inside a
-  closed range can arrive or be window-pruned between the two points.
+  mechanism for trailing ranges, both in the query's
+  :class:`~repro.engines.negation.NegationChecker`) at the root.
+  Deferring bounded checks from the paper's lowest-covering-node
+  placement to the root is exact: the stream is timestamp-ordered, so
+  no forbidden candidate inside a closed range can arrive or be
+  window-pruned between the two points.
 
 The trigger discipline (combine only with strictly earlier instances)
 carries over verbatim, so per-query match sets are **identical** to
@@ -30,10 +32,10 @@ with cross-query shared state.
 
 Shared nodes store their instances in the same
 :class:`~repro.engines.stores.PartialMatchStore` as the single-query
-engines: every DAG edge whose join carries ``Attr == Attr`` predicates
-registers a hash index on the sibling's store (translated through the
-edge renaming), and per-node window expiry is watermark-gated instead
-of allocating a fresh list per shared node per event.
+engines, and every DAG edge reaches its sibling through a
+:class:`~repro.engines.stores.JoinPath` built through the edge
+renaming — the access path shared by all runtimes and described in
+:mod:`repro.engines.stores`.
 """
 
 from __future__ import annotations
@@ -42,21 +44,11 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from ..engines.base import INTERPRET, _PendingMatch
+from ..engines.base import INTERPRET
 from ..engines.matches import Match, PartialMatch
 from ..engines.metrics import EngineMetrics
-from ..engines.negation import NegationChecker, PreparedSpec
-from ..engines.stores import (
-    EMPTY_RANGE,
-    NO_BOUND,
-    PartialMatchStore,
-    equality_key_pairs,
-    make_key_fn,
-    make_value_fn,
-    probe_key,
-    range_key_pairs,
-    range_probe_value,
-)
+from ..engines.negation import NegationChecker
+from ..engines.stores import JoinPath, PartialMatchStore, join_paths
 from ..patterns.compile import compile_event_kernel, compile_merge_kernel
 from ..events import Event, Stream
 from .sharing import QueryRoot, SharedJoin, SharedLeaf, SharedPlan
@@ -80,127 +72,48 @@ def group_by_query(
 
 
 class _QueryState:
-    """Per-query runtime: renaming, negation checking, pending matches."""
+    """Per-query runtime: renaming, negation checker, match counter."""
 
-    __slots__ = (
-        "query",
-        "rename",
-        "identity",
-        "window",
-        "checker",
-        "pending",
-        "matches_emitted",
-    )
+    __slots__ = ("query", "rename", "identity", "checker", "matches_emitted")
 
     def __init__(self, root: QueryRoot) -> None:
         self.query = root.query
         self.rename = dict(root.rename)
         self.identity = all(k == v for k, v in self.rename.items())
-        self.window = root.decomposed.window
         self.checker = NegationChecker(
             root.decomposed.negations,
             root.decomposed.negation_conditions,
             root.decomposed.window,
         )
-        self.pending: List[_PendingMatch] = []
         self.matches_emitted = 0
 
-    # -- per-event plumbing (mirrors BaseEngine) ---------------------------
-    def advance(self, now: float, engine: "MultiQueryEngine") -> List[Match]:
-        """Prune negation buffers; release pendings whose range closed."""
-        self.checker.prune(now - self.window)
-        if not self.pending:
-            return []
-        released: List[Match] = []
-        still: List[_PendingMatch] = []
-        for entry in self.pending:
-            if entry.deadline < now:
-                released.append(engine._emit(self, entry.pm, entry.deadline))
-            else:
-                still.append(entry)
-        self.pending = still
-        return released
-
-    def offer(self, event: Event) -> None:
-        """Buffer a forbidden-event candidate; kill violated pendings."""
-        if not self.checker.active:
-            return
-        if not self.checker.offer(event):
-            return
-        self.pending = [
-            entry
-            for entry in self.pending
-            if not any(
-                self.checker.violated(spec, entry.pm, candidate=event)
-                for spec in entry.specs
-            )
-        ]
-
-    def complete(
-        self, pm: PartialMatch, now: float, engine: "MultiQueryEngine"
-    ) -> Optional[Match]:
-        """Turn a root instance into a match (or pend / drop it)."""
+    def renamed(self, pm: PartialMatch) -> PartialMatch:
+        """A root instance in this query's own variable namespace."""
         if self.identity:
-            qpm = pm
-        else:
-            qpm = PartialMatch(
-                {self.rename[k]: v for k, v in pm.bindings.items()},
-                pm.trigger_seq,
-                pm.min_ts,
-                pm.max_ts,
-            )
-        checker = self.checker
-        if checker.active:
-            bound = frozenset(qpm.bindings)
-            for prepared in checker.specs_checkable_with(bound):
-                if checker.violated(prepared, qpm):
-                    return None
-            for prepared in checker.leading_specs():
-                if checker.violated(prepared, qpm):
-                    return None
-            trailing = checker.trailing_specs()
-            if trailing:
-                open_specs: List[PreparedSpec] = []
-                deadline = float("-inf")
-                for prepared in trailing:
-                    if checker.violated(prepared, qpm):
-                        return None
-                    spec_deadline = checker.deadline(prepared, qpm)
-                    if spec_deadline >= now:
-                        open_specs.append(prepared)
-                        deadline = max(deadline, spec_deadline)
-                if open_specs:
-                    self.pending.append(_PendingMatch(qpm, deadline, open_specs))
-                    return None
-        return engine._emit(self, qpm, now)
+            return pm
+        return PartialMatch(
+            {self.rename[k]: v for k, v in pm.bindings.items()},
+            pm.trigger_seq,
+            pm.min_ts,
+            pm.max_ts,
+        )
 
-    def finalize(self, engine: "MultiQueryEngine") -> List[Match]:
-        """End of stream: trailing ranges can no longer be violated."""
-        released = [
-            engine._emit(self, entry.pm, entry.deadline)
-            for entry in self.pending
-        ]
-        self.pending = []
-        return released
+
+def _inverse(mapping: dict) -> dict:
+    """Parent-namespace variable -> child-namespace variable."""
+    return {pv: cv for cv, pv in mapping.items()}
 
 
 class _Edge:
-    """One parent hookup of a DAG node: renames plus the probe path.
-
-    ``probe_index``/``probe_key_of`` are set when the parent join has
-    ``Attr == Attr`` cross-predicates: the sibling's store then carries a
-    hash index keyed on its side of those predicates, and this node's
-    bindings supply the probe key (see :mod:`repro.engines.stores`).
-    """
+    """One parent hookup of a DAG node: renames plus the access path
+    into the sibling's store (None when the join has no usable key)."""
 
     __slots__ = (
         "parent",
         "my_map",
         "other_map",
         "sibling",
-        "probe_index",
-        "probe_key_of",
-        "probe_bound_of",
+        "path",
         "residual_predicates",
         "merge_full",
         "merge_resid",
@@ -211,9 +124,7 @@ class _Edge:
         self.my_map = my_map
         self.other_map = other_map
         self.sibling = sibling
-        self.probe_index: Optional[int] = None
-        self.probe_key_of = None
-        self.probe_bound_of = None
+        self.path: Optional[JoinPath] = None
         # cross_predicates minus the equalities the hash bucket already
         # guarantees; evaluated on bucket candidates only.
         self.residual_predicates: Tuple = ()
@@ -301,7 +212,20 @@ class MultiQueryEngine:
                 left.parents.append(left_edge)
                 right.parents.append(right_edge)
                 if indexed:
-                    self._index_join(node, left, right, left_edge, right_edge)
+                    paths = join_paths(
+                        node.cross_predicates,
+                        set(node.left_map.values()),
+                        set(node.right_map.values()),
+                        parent.kleene,
+                        left.store,
+                        right.store,
+                        left_rename=_inverse(node.left_map),
+                        right_rename=_inverse(node.right_map),
+                    )
+                    if paths is not None:
+                        left_edge.path, right_edge.path, residual = paths
+                        left_edge.residual_predicates = residual
+                        right_edge.residual_predicates = residual
         self._nodes = [runtime[node.index] for node in plan.nodes]
         self._leaves = [
             runtime[node.index]
@@ -339,9 +263,10 @@ class MultiQueryEngine:
             ):
                 if edge.parent is not parent or edge.merge_full is not INTERPRET:
                     continue
-                inv_my = {pv: cv for cv, pv in edge.my_map.items()}
-                inv_other = {pv: cv for cv, pv in edge.other_map.items()}
-                common = dict(left_rename=inv_my, right_rename=inv_other)
+                common = dict(
+                    left_rename=_inverse(edge.my_map),
+                    right_rename=_inverse(edge.other_map),
+                )
                 edge.merge_full = compile_merge_kernel(
                     node.cross_predicates,
                     set(edge.my_map.values()),
@@ -358,74 +283,6 @@ class MultiQueryEngine:
                     self.metrics,
                     **common,
                 )
-
-    def _index_join(
-        self,
-        node: SharedJoin,
-        left: _RuntimeNode,
-        right: _RuntimeNode,
-        left_edge: _Edge,
-        right_edge: _Edge,
-    ) -> None:
-        """Hash-partition both child stores on the join's equality keys.
-
-        The cross-predicates live in the join's namespace; the key specs
-        are translated back through the edge renamings so each child
-        store is keyed directly over its own representative bindings.
-        A self-join (both edges onto the same store) simply registers
-        two indexes there.
-        """
-        left_spec, right_spec, extracted = equality_key_pairs(
-            node.cross_predicates,
-            set(node.left_map.values()),
-            set(node.right_map.values()),
-            self._runtime[node.index].kleene,
-        )
-        range_spec = range_key_pairs(
-            node.cross_predicates,
-            set(node.left_map.values()),
-            set(node.right_map.values()),
-            self._runtime[node.index].kleene,
-        )
-        if not left_spec and range_spec is None:
-            return
-        skip = set(map(id, extracted))
-        residual = tuple(
-            p for p in node.cross_predicates if id(p) not in skip
-        )
-        left_edge.residual_predicates = residual
-        right_edge.residual_predicates = residual
-        inv_left = {pv: cv for cv, pv in node.left_map.items()}
-        inv_right = {pv: cv for cv, pv in node.right_map.items()}
-        kleene = self._runtime[node.index].kleene
-        left_key = right_key = None
-        if left_spec:
-            left_key = make_key_fn(
-                tuple((inv_left[v], attr) for v, attr in left_spec),
-                frozenset(inv_left[v] for v in kleene if v in inv_left),
-            )
-            right_key = make_key_fn(
-                tuple((inv_right[v], attr) for v, attr in right_spec),
-                frozenset(inv_right[v] for v in kleene if v in inv_right),
-            )
-        left_val = right_val = None
-        left_op = right_op = None
-        if range_spec is not None:
-            left_item, left_op, right_item, right_op, _ = range_spec
-            left_val = make_value_fn((inv_left[left_item[0]], left_item[1]))
-            right_val = make_value_fn(
-                (inv_right[right_item[0]], right_item[1])
-            )
-        left_edge.probe_index = right.store.add_index(
-            right_key, value_of=right_val, op=right_op
-        )
-        left_edge.probe_key_of = left_key
-        left_edge.probe_bound_of = left_val
-        right_edge.probe_index = left.store.add_index(
-            left_key, value_of=left_val, op=left_op
-        )
-        right_edge.probe_key_of = right_key
-        right_edge.probe_bound_of = right_val
 
     # -- plan-DAG tracing ----------------------------------------------------
     def set_tracer(self, tracer) -> None:
@@ -475,9 +332,11 @@ class MultiQueryEngine:
                     event.timestamp - node.spec.window
                 )
         for state in self._states:
-            matches.extend(state.advance(self._now, self))
+            for pm, deadline in state.checker.release(self._now):
+                matches.append(self._emit(state, pm, deadline))
         for state in self._states:
-            state.offer(event)
+            if state.checker.active:
+                state.checker.offer(event)
 
         queue: List[Tuple[PartialMatch, _RuntimeNode]] = []
         for leaf in self._leaves:
@@ -519,10 +378,11 @@ class MultiQueryEngine:
 
     def finalize(self) -> List[Match]:
         """Flush pending (trailing-negation) matches of every query."""
-        matches: List[Match] = []
-        for state in self._states:
-            matches.extend(state.finalize(self))
-        return matches
+        return [
+            self._emit(state, pm, deadline)
+            for state in self._states
+            for pm, deadline in state.checker.flush()
+        ]
 
     # -- cascade ------------------------------------------------------------
     def _cascade(
@@ -537,38 +397,30 @@ class MultiQueryEngine:
             if tracing:
                 node.tstat.created += 1
             for state in node.states:
-                match = state.complete(pm, self._now, self)
-                if match is not None:
-                    matches.append(match)
+                qpm = state.renamed(pm)
+                if state.checker.settle(qpm, self._now, bounded=True):
+                    matches.append(self._emit(state, qpm, self._now))
                     if tracing:
                         node.tstat.matches += 1
             if node.parents:
                 node.store.insert(pm)
                 if tracing:
                     for edge in node.parents:
-                        queue.extend(self._traced_pairings(pm, edge))
+                        stat = edge.parent.tstat
+                        queue.extend(
+                            stat.timed(
+                                self._tracer.clock,
+                                self.metrics,
+                                self._pairings,
+                                pm,
+                                edge,
+                                stat,
+                            )
+                        )
                 else:
                     for edge in node.parents:
                         queue.extend(self._pairings(pm, edge))
         return matches
-
-    def _traced_pairings(
-        self, pm: PartialMatch, edge: _Edge
-    ) -> List[Tuple[PartialMatch, _RuntimeNode]]:
-        """Tracer-attached pairing: wall time and index counter deltas
-        attributed to the parent join node."""
-        stat = edge.parent.tstat
-        metrics = self.metrics
-        ip0, ih0 = metrics.index_probes, metrics.index_hits
-        rp0, rh0 = metrics.range_probes, metrics.range_hits
-        started = self._tracer.clock()
-        created = self._pairings(pm, edge, stat=stat)
-        stat.wall += self._tracer.clock() - started
-        stat.index_probes += metrics.index_probes - ip0
-        stat.index_hits += metrics.index_hits - ih0
-        stat.range_probes += metrics.range_probes - rp0
-        stat.range_hits += metrics.range_hits - rh0
-        return created
 
     def _pairings(
         self, pm: PartialMatch, edge: _Edge, stat=None
@@ -579,36 +431,24 @@ class MultiQueryEngine:
         (already bounded to strictly earlier triggers); otherwise the
         trigger bound is still a bisect, never a per-element check.
         """
-        sibling = edge.sibling
-        candidates = None
-        predicates = edge.parent.spec.cross_predicates
-        kernel = edge.merge_full if self.compiled else INTERPRET
-        if edge.probe_index is not None:
-            key = (
-                ()
-                if edge.probe_key_of is None
-                else probe_key(edge.probe_key_of, pm.bindings)
-            )
-            if key is not None:
-                bound = NO_BOUND
-                if edge.probe_bound_of is not None:
-                    bound = range_probe_value(edge.probe_bound_of, pm.bindings)
-                    if bound is EMPTY_RANGE:
-                        # The theta predicate rejects every sibling
-                        # instance: zero candidates, exactly.
-                        return []
-                candidates = sibling.store.probe(
-                    edge.probe_index, key, pm.trigger_seq, bound=bound
-                )
-                if edge.probe_key_of is not None and sibling.store.index_exact(
-                    edge.probe_index
-                ):
-                    # Bucket-guaranteed: skip the extracted equalities.
-                    predicates = edge.residual_predicates
-                    if self.compiled:
-                        kernel = edge.merge_resid
-        if candidates is None:
-            candidates = sibling.store.iter_before(pm.trigger_seq)
+        store = edge.sibling.store
+        found = (
+            None
+            if edge.path is None
+            else edge.path.candidates(store, pm.bindings, pm.trigger_seq)
+        )
+        if found is None:
+            candidates, exact = store.iter_before(pm.trigger_seq), False
+        else:
+            candidates, exact = found
+        if exact:
+            # Bucket-guaranteed: skip the extracted equalities.
+            predicates, kernel = edge.residual_predicates, edge.merge_resid
+        else:
+            predicates = edge.parent.spec.cross_predicates
+            kernel = edge.merge_full
+        if not self.compiled:
+            kernel = INTERPRET
         if stat is not None:
             candidates = list(candidates)
             stat.probed += len(candidates)
@@ -704,7 +544,7 @@ class MultiQueryEngine:
 
     def _note_state(self) -> None:
         live = sum(len(node.store) for node in self._nodes) + sum(
-            len(state.pending) for state in self._states
+            len(state.checker.pending) for state in self._states
         )
         buffered = sum(
             state.checker.buffered_events() for state in self._states
@@ -743,12 +583,6 @@ class MultiQueryEngine:
             node.store.purge_seqs(seqs)
         for state in self._states:
             state.checker.retract(seq)
-            if state.pending:
-                state.pending = [
-                    entry
-                    for entry in state.pending
-                    if not entry.pm.contains_seq(seq)
-                ]
         self.metrics.retractions_processed += 1
 
     def per_query_matches(self) -> Dict[str, int]:

@@ -87,6 +87,20 @@ class NodeStat:
         self.range_probes = 0
         self.range_hits = 0
 
+    def timed(self, clock, metrics, fn, *args):
+        """``fn(*args)``, with its wall time and the index / range probe
+        counter deltas it caused attributed to this node."""
+        index_probes, index_hits = metrics.index_probes, metrics.index_hits
+        range_probes, range_hits = metrics.range_probes, metrics.range_hits
+        started = clock()
+        result = fn(*args)
+        self.wall += clock() - started
+        self.index_probes += metrics.index_probes - index_probes
+        self.index_hits += metrics.index_hits - index_hits
+        self.range_probes += metrics.range_probes - range_probes
+        self.range_hits += metrics.range_hits - range_hits
+        return result
+
     # -- derived fractions ---------------------------------------------------
     @property
     def bucket_hit_fraction(self) -> float:

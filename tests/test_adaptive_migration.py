@@ -1,10 +1,10 @@
 """Live plan migration (:mod:`repro.adaptive`, PR 4 tentpole).
 
 The contract under test: a forced mid-stream plan switch under the
-``recompute`` and ``parallel-drain`` policies produces the *byte-
-identical* canonical match list of a run that never switches — across
-tree and NFA plans, theta / equality / Kleene / negation workloads, and
-cross-runtime (order plan -> tree plan) switches — while the ``restart``
+``recompute`` policy produces the *byte-identical* canonical match list
+of a run that never switches — across tree and NFA plans, theta /
+equality / Kleene / negation workloads, and cross-runtime (order plan ->
+tree plan) switches — while the ``restart``
 baseline demonstrably loses the matches whose partial state straddles
 the swap.  Plus: the plan-independent snapshot API itself, the
 outgoing-engine drain at swap (trailing-NOT regression), and the
@@ -117,9 +117,9 @@ def run_with_forced_switches(
 
 
 class TestMigrationEquivalence:
-    """recompute / parallel-drain == never-switching run, byte for byte."""
+    """recompute == never-switching run, byte for byte."""
 
-    @pytest.mark.parametrize("policy", ["recompute", "parallel-drain"])
+    @pytest.mark.parametrize("policy", ["recompute"])
     @pytest.mark.parametrize(
         "runtime,algorithm,switch_algorithms",
         RUNTIMES,
@@ -151,9 +151,9 @@ class TestMigrationEquivalence:
     def test_forced_switch_mid_drain_is_lossless(
         self, workload, pattern_text
     ):
-        """A second forced switch landing inside a parallel-drain window
-        must switch from the outgoing engine (the only one with the
-        complete window history), not from the half-built replacement."""
+        """A second forced switch landing within one window of the first
+        (mid-drain, where the retired parallel-drain policy still ran
+        two engines) migrates the replayed state again, losslessly."""
         pattern = parse_pattern(pattern_text)
         stream = mixed_stream(seed=17)
         expected = baseline_records(pattern, stream, "GREEDY")
@@ -161,7 +161,7 @@ class TestMigrationEquivalence:
             pattern,
             catalog(),
             algorithm="GREEDY",
-            migration="parallel-drain",
+            migration="recompute",
             check_interval=10**9,
             detector=DriftDetector(threshold=1e9),
             max_kleene_size=MAX_KLEENE,
@@ -169,14 +169,15 @@ class TestMigrationEquivalence:
         matches = []
         for index, event in enumerate(stream):
             matches.extend(controller.process(event))
-            if index in (200, 208, 400):  # 208 lands mid-drain
+            if index in (200, 208, 400):  # 208: within a window of 200
                 matches.extend(controller.force_reoptimize())
         matches.extend(controller.finalize())
         assert match_records(canonical_order(matches)) == expected
 
     def test_forced_switch_mid_drain_keeps_negation_candidates(self):
-        """Regression: the engine built by a mid-drain forced switch
-        must still see forbidden events from before the *first* swap."""
+        """Regression: the engine built by a second forced switch within
+        one window of the first must still see forbidden events from
+        before the *first* swap."""
         pattern = parse_pattern("PATTERN AND(A a, B b, NOT(C c)) WITHIN 3")
         cat = StatisticsCatalog({"A": 1.0, "B": 1.0, "C": 0.5})
         stream = Stream(
@@ -184,7 +185,7 @@ class TestMigrationEquivalence:
                 Event("C", 1.0, {}),  # forbids any A/B pair within reach
                 Event("A", 1.2, {}),  # first forced switch here
                 Event("A", 1.5, {}),
-                Event("A", 2.0, {}),  # second switch, mid-drain
+                Event("A", 2.0, {}),  # second switch, within a window
                 Event("A", 2.2, {}),
                 Event("B", 2.5, {}),
             ]
@@ -197,7 +198,7 @@ class TestMigrationEquivalence:
         controller = AdaptiveController(
             pattern,
             cat,
-            migration="parallel-drain",
+            migration="recompute",
             check_interval=10**9,
             detector=DriftDetector(threshold=1e9),
         )
@@ -209,7 +210,7 @@ class TestMigrationEquivalence:
         matches.extend(controller.finalize())
         assert match_records(canonical_order(matches)) == expected
 
-    @pytest.mark.parametrize("policy", ["recompute", "parallel-drain"])
+    @pytest.mark.parametrize("policy", ["recompute"])
     def test_cross_runtime_switch_is_lossless(self, policy):
         """Snapshots are plan-independent: an order-plan engine's state
         migrates into a tree-plan engine and back."""
@@ -285,9 +286,7 @@ class TestOutgoingEngineDrain:
         engine = build_engines(planned)
         return match_records(canonical_order(engine.run(self.stream())))
 
-    @pytest.mark.parametrize(
-        "policy", ["restart", "recompute", "parallel-drain"]
-    )
+    @pytest.mark.parametrize("policy", ["restart", "recompute"])
     def test_pending_matches_survive_swap(self, policy):
         pattern = parse_pattern(self.PATTERN)
         controller = AdaptiveController(
@@ -311,19 +310,19 @@ class TestOutgoingEngineDrain:
         assert len(records) == 2
 
     def test_drain_end_does_not_duplicate_due_post_swap_pending(self):
-        """A sparse stream can make the first event past the drain
-        deadline also pass a post-swap pending's own deadline; that
-        pending lives in *both* engines and must be emitted exactly
-        once (by the new engine, which owns post-swap-only matches)."""
+        """A sparse stream can make the first event one window past a
+        swap (where the retired parallel-drain policy ended its overlap)
+        also pass a post-swap pending's own deadline; that pending must
+        be emitted exactly once."""
         pattern = parse_pattern(self.PATTERN)  # WITHIN 3
         stream = Stream(
             [
                 Event("A", 9.0, {}),
-                Event("A", 10.0, {}),   # swap here: drain until 13
+                Event("A", 10.0, {}),   # swap here
                 Event("A", 11.0, {}),
                 Event("B", 11.2, {}),   # pendings: a@9/a@10 (pre-swap)
                                         # and a@11 (post-swap, deadline 14)
-                Event("A", 20.0, {}),   # ends drain AND passes deadline 14
+                Event("A", 20.0, {}),   # passes swap + W and deadline 14
                 Event("B", 21.0, {}),
             ]
         )
@@ -335,7 +334,7 @@ class TestOutgoingEngineDrain:
         controller = AdaptiveController(
             pattern,
             cat,
-            migration="parallel-drain",
+            migration="recompute",
             check_interval=10**9,
             detector=DriftDetector(threshold=1e9),
         )
@@ -361,7 +360,7 @@ class TestOutgoingEngineDrain:
                 Event("B", 6.0, {}),
             ]
         )
-        for policy in ("recompute", "parallel-drain"):
+        for policy in ("recompute",):
             controller = AdaptiveController(
                 pattern,
                 StatisticsCatalog({"A": 1.0, "B": 1.0, "C": 0.5}),
@@ -475,12 +474,13 @@ class TestSnapshotAPI:
         )
         assert default.migration == "recompute"
 
-    def test_unknown_policy_rejected(self):
+    @pytest.mark.parametrize("policy", ["teleport", "parallel-drain"])
+    def test_unknown_policy_rejected(self, policy):
         with pytest.raises(EngineError):
             AdaptiveController(
                 parse_pattern("PATTERN SEQ(A a, B b) WITHIN 2"),
                 StatisticsCatalog({"A": 1.0, "B": 1.0}),
-                migration="teleport",
+                migration=policy,
             )
 
 
@@ -501,13 +501,3 @@ class TestMigrationMetrics:
         assert metrics.matches_emitted == len(
             baseline_records(pattern, stream, "GREEDY")
         )
-
-    def test_parallel_drain_counts_drain_overlap(self):
-        pattern = parse_pattern(WORKLOADS[0][1])
-        stream = mixed_stream(seed=31)
-        _, controller = run_with_forced_switches(
-            pattern, stream, "GREEDY", "parallel-drain", ("TRIVIAL", "DP-LD")
-        )
-        # One window of doubled processing per switch shows up honestly.
-        assert controller.metrics.events_processed > len(stream)
-        assert not controller.draining

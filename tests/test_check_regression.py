@@ -106,6 +106,19 @@ class TestCompare:
         assert regressions[0]["key"] == gate.run_key(baseline["runs"][0])
         assert any("no baseline" in note for note in notes)
 
+    def test_runs_differing_only_by_config_pair_separately(self, gate):
+        # fig23 names its runs by "config" alone; a dropped config must
+        # fail as a missing run, not collapse into its neighbour's key.
+        runs = [
+            dict(config="recompute", events=1200, events_per_s=100.0),
+            dict(config="drain", events=1200, events_per_s=90.0),
+        ]
+        baseline = {"smoke": False, "runs": runs}
+        current = {"smoke": False, "runs": runs[:1]}
+        regressions, _ = gate.compare(baseline, current)
+        assert [item["missing"] for item in regressions] == ["run"]
+        assert regressions[0]["key"] == gate.run_key(runs[1])
+
     def test_missing_metric_fails(self, gate, tmp_path, capsys):
         # Even at smoke scale, where absolute metrics do not gate, a
         # baselined metric that vanished from the results fails.

@@ -113,7 +113,7 @@ class TestNegationChecker:
         checker, _ = self.make()
         checker.offer(ev("B", 1.0))
         checker.offer(ev("B", 8.0))
-        checker.prune(5.0)
+        assert checker.release(15.0) == []  # window 10: cutoff 5.0
         assert checker.buffered_events() == 1
 
     def test_unary_filter_on_negated_variable(self):

@@ -248,11 +248,16 @@ class TestObservationNeutrality:
         assert sum(n.range_probes for n in tracer.nodes) > 0
         assert sum(n.matches for n in tracer.nodes) == len(matches)
 
-    def test_bisect_feedback_matches_scan_evaluation(self, monkeypatch):
+    @pytest.mark.parametrize("runtime", ["tree", "nfa"])
+    def test_bisect_feedback_matches_scan_evaluation(
+        self, monkeypatch, runtime
+    ):
         """Satellite regression: candidates a sorted-run bisect excludes
         are reported to the SelectivityTracker as failed theta
         evaluations — the observed (key, outcome) multiset must equal
-        what evaluating the predicate over the whole bucket reports."""
+        what evaluating the predicate over the whole bucket reports.
+        Every runtime probes through the one JoinPath, so one patch
+        target covers them all."""
 
         class StubTracker:
             def __init__(self):
@@ -263,10 +268,15 @@ class TestObservationNeutrality:
 
         stream = rand_stream(13, count=120)
         d = decompose(parse_pattern(RANGE_PATTERN))
-        order = next(iter(enumerate_orders(d.positive_variables)))
+        if runtime == "tree":
+            plan = next(iter(enumerate_bushy_trees(d.positive_variables)))
+            build = TreeEngine
+        else:
+            plan = next(iter(enumerate_orders(d.positive_variables)))
+            build = NFAEngine
 
         def observed() -> Counter:
-            engine = NFAEngine(d, order, indexed=True, compiled=False)
+            engine = build(d, plan, indexed=True, compiled=False)
             tracker = StubTracker()
             engine.set_selectivity_tracker(tracker)
             engine.run(stream)
@@ -276,7 +286,7 @@ class TestObservationNeutrality:
         # Disable the bisect narrowing only: every bucket candidate now
         # has the extracted range predicate evaluated for real.
         monkeypatch.setattr(
-            "repro.engines.nfa.range_probe_value",
+            "repro.engines.stores.range_probe_value",
             lambda value_of, subject: NO_BOUND,
         )
         scanned = observed()

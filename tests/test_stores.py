@@ -2,8 +2,9 @@
 
 The equivalence guarantees live in test_store_equivalence.py; here we
 pin down the mechanics: key extraction, bucket probing with trigger
-bounds, watermark-gated expiry, tombstone removal, compaction, and the
-degradation paths for unhashable / missing key attributes.
+bounds, watermark-gated expiry, tombstone removal, compaction, the
+degradation paths for unhashable / missing key attributes, and the
+JoinPath probe protocol both kinds of stored side share.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from repro.engines.metrics import EngineMetrics
 from repro.engines.stores import (
     PartialMatchStore,
     equality_key_pairs,
+    join_paths,
     make_event_key_fn,
     make_key_fn,
 )
@@ -200,23 +202,23 @@ class TestVariableBuffer:
     def test_indexed_probe_bucket_and_trigger_bound(self):
         metrics = EngineMetrics()
         buffer = VariableBuffer("a", "A", metrics=metrics)
-        buffer.set_index(lambda e: (e["x"],))
+        handle = buffer.add_index(lambda e: (e["x"],))
         for i in range(6):
             buffer.offer(ev("A", float(i), i, x=i % 2))
-        assert [e.seq for e in buffer.probe((0,), 4)] == [0, 2]
-        assert [e.seq for e in buffer.probe((1,), 99)] == [1, 3, 5]
-        assert list(buffer.probe((7,), 99)) == []
+        assert [e.seq for e in buffer.probe(handle, (0,), 4)] == [0, 2]
+        assert [e.seq for e in buffer.probe(handle, (1,), 99)] == [1, 3, 5]
+        assert list(buffer.probe(handle, (7,), 99)) == []
         assert metrics.index_probes == 3
         assert metrics.index_hits == 2
 
     def test_probe_respects_prune_and_tombstones(self):
         buffer = VariableBuffer("a", "A")
-        buffer.set_index(lambda e: (e["x"],))
+        handle = buffer.add_index(lambda e: (e["x"],))
         for i in range(6):
             buffer.offer(ev("A", float(i), i, x=0))
         buffer.remove_seq(3)
         buffer.prune(2.0)
-        assert [e.seq for e in buffer.probe((0,), 99)] == [2, 4, 5]
+        assert [e.seq for e in buffer.probe(handle, (0,), 99)] == [2, 4, 5]
 
     def test_index_exact_flags_overflow(self):
         store = PartialMatchStore()
@@ -226,17 +228,17 @@ class TestVariableBuffer:
         store.insert(pm_of("a", ev("A", 1.0, 1, x=[1])))  # unhashable
         assert not store.index_exact(index)
         buffer = VariableBuffer("a", "A")
-        buffer.set_index(lambda e: (e["x"],))
+        handle = buffer.add_index(lambda e: (e["x"],))
         buffer.offer(ev("A", 0.0, 0, x=5))
-        assert buffer.index_exact
+        assert buffer.index_exact(handle)
         buffer.offer(ev("A", 1.0, 1, x=[1]))
-        assert not buffer.index_exact
+        assert not buffer.index_exact(handle)
 
     def test_buffer_index_does_not_leak_unique_keys(self):
         # Regression: buckets of never-reprobed keys must be reclaimed
         # by pruning, not retained for the stream's lifetime.
         buffer = VariableBuffer("a", "A")
-        buffer.set_index(lambda e: (e["x"],))
+        handle = buffer.add_index(lambda e: (e["x"],))
         for i in range(5000):
             buffer.offer(ev("A", float(i), i, x=i))
             buffer.prune(float(i) - 10.0)
@@ -420,7 +422,8 @@ class TestBufferRangeProbes:
         metrics = EngineMetrics()
         buffer = VariableBuffer("b", "B", metrics=metrics)
         key_of = (lambda e: (e["k"],)) if key else None
-        buffer.set_index(key_of, value_of=lambda e: e["v"], op=op)
+        handle = buffer.add_index(key_of, value_of=lambda e: e["v"], op=op)
+        assert handle == 0
         return buffer, metrics
 
     def test_bisect_selects_range_in_seq_order(self):
@@ -432,7 +435,7 @@ class TestBufferRangeProbes:
         ]
         for event in events:
             buffer.offer(event)
-        got = list(buffer.probe((), trigger_seq=10, bound=4.0))
+        got = list(buffer.probe(0, (), trigger_seq=10, bound=4.0))
         assert got == [events[0], events[2]]  # seq order, not value order
         assert metrics.range_probes == 1 and metrics.range_hits == 1
 
@@ -443,7 +446,7 @@ class TestBufferRangeProbes:
             buffer.offer(event)
         buffer.remove_seq(2)
         buffer.prune(0.15)  # seqs 0 and 1 (ts 0.0, 0.1) expire
-        got = list(buffer.probe((), trigger_seq=10, bound=99.0))
+        got = list(buffer.probe(0, (), trigger_seq=10, bound=99.0))
         assert [e.seq for e in got] == [3, 4, 5]
 
     def test_hash_and_range_compose_on_buffers(self):
@@ -453,7 +456,7 @@ class TestBufferRangeProbes:
         too_big = ev("B", 0.3, 2, k=1, v=9.0)
         for event in (inside, wrong_key, too_big):
             buffer.offer(event)
-        assert list(buffer.probe((1,), 99, bound=5.0)) == [inside]
+        assert list(buffer.probe(0, (1,), 99, bound=5.0)) == [inside]
 
     def test_range_runs_do_not_leak_under_unbounded_probes(self):
         """Regression: with every probe taking the non-range path
@@ -468,7 +471,7 @@ class TestBufferRangeProbes:
             buffer.offer(ev("B", 0.001 * i, i, v=float(i % 10)))
             buffer.prune(0.001 * i - 0.05)  # ~50-event window
             # Non-range probe: trims the bucket prefix, not the runs.
-            list(buffer.probe((), trigger_seq=i, bound=NO_BOUND))
+            list(buffer.probe(0, (), trigger_seq=i, bound=NO_BOUND))
         run_entries = sum(
             len(bucket.rvals) + len(bucket.runordered)
             for bucket in buffer._buckets.values()
@@ -569,3 +572,138 @@ class TestBucketSweep:
         self.fill(store, 20)
         store.purge_seqs(frozenset(range(10)))
         assert self.bucket(store, index, (0,)).dead == 10
+
+
+class TestIndexHitCounting:
+    """``index_hits`` counts probes that found a non-empty bucket."""
+
+    def test_store_bucket_of_expired_entries_is_a_miss(self):
+        metrics = EngineMetrics()
+        store = PartialMatchStore(metrics)
+        index = store.add_index(make_key_fn((("a", "x"),)))
+        for i in range(10):
+            store.insert(pm_of("a", ev("A", float(i), i, x=0)))
+        store.expire(100.0)  # every entry dies; no global compaction
+        got = [list(store.probe(index, (0,), 99)) for _ in range(3)]
+        assert got == [[], [], []]
+        assert metrics.index_probes == 3
+        assert metrics.index_hits == 0
+        assert metrics.index_misses == 3
+
+    def test_buffer_bucket_emptied_by_trim_is_a_miss(self):
+        metrics = EngineMetrics()
+        buffer = VariableBuffer("a", "A", metrics=metrics)
+        handle = buffer.add_index(lambda e: (e["x"],))
+        for i in range(3):
+            buffer.offer(ev("A", float(i), i, x=0))
+        buffer.prune(10.0)  # the bucket keeps its expired prefix...
+        assert list(buffer.probe(handle, (0,), 99)) == []  # ...until here
+        assert metrics.index_probes == 1
+        assert metrics.index_hits == 0
+        assert metrics.index_misses == 1
+
+
+def _stored_side(kind: str, events):
+    """A stored right side of ``a ⋈ b`` (PM store or event buffer)
+    holding ``events`` — the two kinds of store a JoinPath probes."""
+    if kind == "store":
+        return PartialMatchStore(), False, lambda e: pm_of("b", e)
+    return VariableBuffer("b", "B"), True, lambda e: e
+
+
+@pytest.mark.parametrize("kind", ["store", "buffer"])
+class TestJoinPath:
+    EQ = Comparison(Attr("a", "x"), "=", Attr("b", "x"))
+    THETA = Comparison(Attr("a", "v"), "<", Attr("b", "v"))
+
+    def build(self, kind, predicates, events):
+        stored, right_events, entry_of = _stored_side(kind, events)
+        left_path, _, residual = join_paths(
+            predicates,
+            ["a"],
+            ["b"],
+            (),
+            PartialMatchStore(),
+            stored,
+            right_events=right_events,
+        )
+        for event in events:
+            if kind == "store":
+                stored.insert(entry_of(event))
+            else:
+                stored.offer(event)
+        return left_path, stored, residual
+
+    @staticmethod
+    def seqs(entries):
+        return [
+            e.seq if isinstance(e, Event) else e.bindings["b"].seq
+            for e in entries
+        ]
+
+    def test_unusable_probe_key_falls_back_to_a_scan(self, kind):
+        events = [ev("B", 0.1, 0, x=1, v=1.0)]
+        path, stored, _ = self.build(kind, [self.EQ, self.THETA], events)
+        for a in (
+            ev("A", 1.0, 5, v=0.0),  # missing key attribute
+            ev("A", 1.0, 5, x=[1], v=0.0),  # unhashable
+            ev("A", 1.0, 5, x=float("nan"), v=0.0),  # NaN
+        ):
+            assert path.candidates(stored, {"a": a}, 5) is None
+
+    def test_empty_range_reports_every_eligible_entry(self, kind):
+        events = [ev("B", 0.1 * i, i, x=1, v=float(i)) for i in range(3)]
+        events.append(ev("B", 0.4, 3, x=2, v=0.0))  # other bucket
+        path, stored, residual = self.build(
+            kind, [self.EQ, self.THETA], events
+        )
+        assert residual == [self.THETA]
+        observed = []
+        subject = {"a": ev("A", 1.0, 9, x=1, v=float("nan"))}
+        candidates, _ = path.candidates(
+            stored, subject, 9, lambda pred, n: observed.append((pred, n))
+        )
+        assert list(candidates) == []
+        assert observed == [(self.THETA, 3)]
+
+    def test_bisect_exclusions_and_exactness(self, kind):
+        events = [ev("B", 0.1 * i, i, x=1, v=float(i)) for i in range(4)]
+        path, stored, _ = self.build(kind, [self.EQ, self.THETA], events)
+        observed = []
+        subject = {"a": ev("A", 1.0, 9, x=1, v=1.5)}
+        candidates, exact = path.candidates(
+            stored, subject, 9, lambda pred, n: observed.append((pred, n))
+        )
+        assert self.seqs(candidates) == [2, 3]
+        assert exact
+        assert observed == [(self.THETA, 2)]
+        # An unhashable stored key lands in the overflow: still a
+        # candidate, but no longer bucket-guaranteed.
+        odd = ev("B", 0.5, 4, x=[1], v=9.0)
+        if kind == "store":
+            stored.insert(pm_of("b", odd))
+        else:
+            stored.offer(odd)
+        candidates, exact = path.candidates(stored, subject, 9)
+        assert self.seqs(candidates) == [2, 3, 4]
+        assert not exact
+
+    def test_pure_range_path_probes_with_the_empty_key(self, kind):
+        events = [ev("B", 0.1 * i, i, v=float(i)) for i in range(4)]
+        path, stored, residual = self.build(kind, [self.THETA], events)
+        assert residual == [self.THETA]
+        keys = []
+
+        class Spy:
+            def probe(self, handle, key, trigger_seq, **kwargs):
+                keys.append(key)
+                return stored.probe(handle, key, trigger_seq, **kwargs)
+
+            def index_exact(self, handle):
+                return stored.index_exact(handle)
+
+        subject = {"a": ev("A", 1.0, 9, v=1.5)}
+        candidates, exact = path.candidates(Spy(), subject, 9)
+        assert self.seqs(candidates) == [2, 3]
+        assert keys == [()]
+        assert not exact  # no equality extracted: full predicate list
